@@ -29,6 +29,7 @@ from .divisors import (
     divisor_list,
     divisor_list_factored,
     factorize,
+    gap_factorization,
     middle_pair_3x2k,
 )
 from .errors import (
@@ -52,7 +53,6 @@ from .josephus import (
 )
 from .report import CheckRecord, VerificationReport
 from .sequences import (
-    FACTORED_TERM_LIMIT,
     PartialProductState,
     SequenceReport,
     a_seq,
@@ -73,7 +73,6 @@ __all__ = [
     "DivgapError",
     "DivisorPair",
     "EmptyIntersection",
-    "FACTORED_TERM_LIMIT",
     "Factorization",
     "InsufficientPrecision",
     "NoQualifyingPair",
@@ -102,6 +101,7 @@ __all__ = [
     "divisor_list",
     "divisor_list_factored",
     "factorize",
+    "gap_factorization",
     "k3_digits",
     "k3_enclosure",
     "middle_pair_3x2k",

@@ -219,7 +219,10 @@ def _oracle_min_pair(m: int, threshold: int | None, oracle_bound: int) -> Diviso
 # the prime with the largest exponent and s runs over divisors of the
 # coprime rest; the complementary divisor is the product (T // s) * p**(E-a)
 # with T the full coprime part, and every boundary decision reduces to
-# small-integer and exponent arithmetic.
+# small-integer and exponent arithmetic. The gap itself is p**min(a, E-a)
+# times a small inner factor, so gap_factorization returns it factored
+# without building either divisor; only the public DivisorPair results
+# materialize them.
 
 
 def _pow(p: int, a: int) -> int:
@@ -241,7 +244,7 @@ def _ilog(x: int, p: int) -> int:
 
 
 def _le_scaled(s: int, k: int, t: int, p: int) -> bool:
-    """Exact s * p**k <= t for s, t >= 1 and any integer k.
+    """Exact s * p**k <= t for s >= 1 and any integer k; t >= 1, or t = 0 when k >= 0.
 
     The power is only materialized when it fits inside the smaller operand,
     so comparisons stay cheap even for exponents in the millions.
@@ -331,24 +334,37 @@ def _descending_small_side(p: int, e_big: int, chains: list[tuple[int, int]]):
             active[best][0] = a - 1
 
 
-def _factored_min_pair(
+def _min_gap_step(
     f: Factorization, threshold: int | None, divisor_cap: int
-) -> DivisorPair:
-    if not f.pairs:
-        if threshold is None:
-            return DivisorPair(1, 1)
-        raise NoQualifyingPair(f"no divisor pair of 1 has difference above {threshold}")
-    p, e_big, chains = _chain_split(f.pairs, divisor_cap)
+) -> tuple[int, int, int, int, int, int]:
+    """The minimal pair of f with difference above threshold, kept in pieces.
+
+    Returns (p, E, s, a, c, inner) for the pair s * p**a <= c * p**(E - a),
+    whose difference is p**min(a, E - a) * inner. Only inner is built: it is
+    c * p**(E - 2a) - s or c - s * p**(2a - E), and E - 2a stays near log_p T
+    close to the square root, so inner stays small however large E is.
+    """
+    # the empty factorization walks as 2**0 with the single chain (1, 1)
+    p, e_big, chains = _chain_split(f.pairs or ((2, 0),), divisor_cap)
     # Walk down from the square root; the gap grows as the small side
     # shrinks, so the first qualifying divisor gives the minimal gap.
     for s, a, c in _descending_small_side(p, e_big, chains):
-        d = s * _pow(p, a)
-        mate = c * _pow(p, e_big - a)
-        if threshold is None or mate - d > threshold:
-            return DivisorPair(d, mate)
+        k = e_big - 2 * a
+        inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
+        shared = min(a, e_big - a)
+        # inner is 0 only at an exact square root, where no threshold is met
+        if threshold is None or (inner and not _le_scaled(inner, shared, threshold, p)):
+            return p, e_big, s, a, c, inner
     raise NoQualifyingPair(
         f"no divisor pair of the factored input has difference above {threshold}"
     )
+
+
+def _factored_min_pair(
+    f: Factorization, threshold: int | None, divisor_cap: int
+) -> DivisorPair:
+    p, e_big, s, a, c, _ = _min_gap_step(f, threshold, divisor_cap)
+    return DivisorPair(s * _pow(p, a), c * _pow(p, e_big - a))
 
 
 # --- public gap interface ---
@@ -398,6 +414,27 @@ def delta_above(
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     return _oracle_min_pair(m, threshold, oracle_bound)
+
+
+def gap_factorization(
+    f: Factorization,
+    threshold: int,
+    *,
+    oracle_bound: int = ORACLE_BOUND,
+) -> Factorization:
+    """delta_above(f, threshold).difference as a Factorization, never materialized.
+
+    The walk is the one behind delta_above; the gap comes out as
+    p**min(a, E - a) times a small inner factor, and only that inner factor
+    is built. It is factored by trial division after dividing out f's own
+    primes, and raises OracleBoundExceeded when the rest is above oracle_bound.
+    """
+    if threshold < 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    p, e_big, _, a, _, inner = _min_gap_step(f, threshold, DIVISOR_CAP)
+    rest = factorize(inner, oracle_bound=oracle_bound, hints=tuple(q for q, _ in f.pairs))
+    shared = min(a, e_big - a)
+    return rest.multiply(Factorization(((p, shared),))) if shared else rest
 
 
 def middle_pair_3x2k(k: int) -> DivisorPair:

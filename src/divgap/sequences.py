@@ -18,24 +18,23 @@ from .divisors import (
     Factorization,
     delta_above,
     factorize,
+    gap_factorization,
 )
-from .errors import InsufficientPrecision, ResourceLimit
+from .errors import InsufficientPrecision
 from .intervals import RationalInterval
 from .report import CheckRecord, VerificationReport
 
 A_PATHS = ("oracle", "factored", "fast")
-# The factored route materializes every term; near index 60 a single term
-# passes a gigabyte, so the route refuses well before that.
-FACTORED_TERM_LIMIT = 50
 
 
 @dataclass(frozen=True)
 class SequenceReport:
     """A computed sequence prefix with the path that produced it.
 
-    Fast-path gap terms are held as exponents and turned into 2**e only when
-    read; a term near index 60 already needs megabytes, so iterate or index
-    instead of materializing when the range is large.
+    The factored and fast paths hold their closing run of power-of-two terms
+    as exponents, turned into 2**e only when read; a term near index 60
+    already needs megabytes, so iterate or index instead of materializing
+    when the range is large.
     """
 
     name: str
@@ -47,22 +46,32 @@ class SequenceReport:
     def __len__(self) -> int:
         return len(self.prefix) + len(self.exponents)
 
-    def term(self, n: int) -> int:
+    def _offset(self, n: int) -> int:
         i = n - self.start_index
         if not 0 <= i < len(self):
             raise IndexError(f"index {n} outside [{self.start_index}, {self.last_index}]")
+        return i
+
+    def term(self, n: int) -> int:
+        i = self._offset(n)
         if i < len(self.prefix):
             return self.prefix[i]
         return 1 << self.exponents[i - len(self.prefix)]
 
     def term_bits(self, n: int) -> int:
         """Bit length of term n without materializing it."""
-        i = n - self.start_index
-        if not 0 <= i < len(self):
-            raise IndexError(f"index {n} outside [{self.start_index}, {self.last_index}]")
+        i = self._offset(n)
         if i < len(self.prefix):
             return self.prefix[i].bit_length()
         return self.exponents[i - len(self.prefix)] + 1
+
+    def two_exponent(self, n: int) -> int | None:
+        """e when term n is exactly 2**e, else None; never materializes."""
+        i = self._offset(n)
+        if i >= len(self.prefix):
+            return self.exponents[i - len(self.prefix)]
+        t = self.prefix[i]
+        return t.bit_length() - 1 if t & (t - 1) == 0 else None
 
     def __iter__(self):
         yield from self.prefix
@@ -85,12 +94,6 @@ class PartialProductState:
     n: int
     factorization: Factorization
     running_b_sum: int
-
-
-def _extend_product(f: Factorization, a: int) -> Factorization:
-    # The primes already present make exact-division hints, so smooth gap
-    # terms factor in time linear in their bit length.
-    return f.multiply(factorize(a, hints=tuple(p for p, _ in f.pairs)))
 
 
 def b_seq(n_max: int) -> SequenceReport:
@@ -116,20 +119,30 @@ def _a_seq_oracle(n_max: int, oracle_bound: int) -> SequenceReport:
     return SequenceReport("a", 0, "oracle", tuple(terms))
 
 
-def _a_seq_factored(n_max: int) -> SequenceReport:
-    if n_max > FACTORED_TERM_LIMIT:
-        raise ResourceLimit(
-            f"factored path is limited to {FACTORED_TERM_LIMIT} terms; "
-            f"term {n_max} would need square roots of integers beyond 10^8 bits, "
-            "use the fast path instead"
-        )
-    terms = [4]
-    f = Factorization.from_mapping({2: 2})
+def _factored_terms(n_max: int, oracle_bound: int) -> list[Factorization]:
+    # Each gap comes out of the walk already factored, so the product is
+    # extended by exponent arithmetic and no term is ever materialized.
+    terms = [Factorization(((2, 2),))]
+    product = terms[0]
     for _ in range(n_max):
-        a = delta_above(f, 1).difference
-        terms.append(a)
-        f = _extend_product(f, a)
-    return SequenceReport("a", 0, "factored", tuple(terms))
+        gap = gap_factorization(product, 1, oracle_bound=oracle_bound)
+        terms.append(gap)
+        product = product.multiply(gap)
+    return terms
+
+
+def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
+    terms = _factored_terms(n_max, oracle_bound)
+    # the closing run of powers of two stays in exponent form; a term is
+    # counted only when its own factorization says so
+    exponents = []
+    for f in reversed(terms):
+        e = dict(f.pairs).get(2, 0)
+        if f.pairs not in ((), ((2, e),)):
+            break
+        exponents.append(e)
+    prefix = tuple(f.value() for f in terms[: len(terms) - len(exponents)])
+    return SequenceReport("a", 0, "factored", prefix, tuple(reversed(exponents)))
 
 
 def _a_seq_fast(n_max: int) -> SequenceReport:
@@ -144,17 +157,20 @@ def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUN
     """Indices 0..n_max of the gap sequence via the chosen path.
 
     oracle: products as plain integers, gaps by trial division (honest up to
-    index 10 with the default bound). factored: products as factorizations,
-    gaps by the descending divisor walk (works to index 50). fast: trusts the
-    power-of-two identity and only runs the b recurrence; cross-validation
-    against the other paths lives in verify_theorem and the test suite.
+    index 10 with the default bound). factored: products and gaps as
+    factorizations, gaps by the descending divisor walk in exponent space;
+    no integer of the terms' size is built, so it reaches the hundreds, and a
+    term becomes an exponent only when its factorization is a power of two.
+    fast: trusts the power-of-two identity and only runs the b recurrence;
+    cross-validation against the other paths lives in verify_theorem and the
+    test suite.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if path == "oracle":
         return _a_seq_oracle(n_max, oracle_bound)
     if path == "factored":
-        return _a_seq_factored(n_max)
+        return _a_seq_factored(n_max, oracle_bound)
     if path == "fast":
         return _a_seq_fast(n_max)
     raise ValueError(f"unknown path {path!r}, expected one of {A_PATHS}")
@@ -164,8 +180,9 @@ def partial_product(n: int, path: str = "factored", *, oracle_bound: int = ORACL
     """Factored product of gap terms 0..n-1, plus the running b sum.
 
     The fast path builds the factorization structurally (2^2, then 2^2 * 3,
-    then 3 * 2^(4 + b(3) + ... + b(n-1))); the other paths multiply the
-    factorizations of recomputed terms.
+    then 3 * 2^(4 + b(3) + ... + b(n-1))); the factored path multiplies the
+    walk's gap factorizations and the oracle path factors its machine-size
+    terms.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -180,51 +197,35 @@ def partial_product(n: int, path: str = "factored", *, oracle_bound: int = ORACL
             e = 4 + sum(bs.term(k) for k in range(3, n))
             f = Factorization.from_mapping({2: e, 3: 1})
     else:
+        if path == "factored":
+            gaps = _factored_terms(n - 1, oracle_bound)
+        else:
+            gaps = [factorize(a, oracle_bound=oracle_bound)
+                    for a in a_seq(n - 1, path, oracle_bound=oracle_bound)]
         f = Factorization(())
-        for a in a_seq(n - 1, path, oracle_bound=oracle_bound):
-            f = _extend_product(f, a)
+        for g in gaps:
+            f = f.multiply(g)
     return PartialProductState(n, f, b_sum)
-
-
-def _power_of_two_record(n: int, a: int, b_n: int) -> CheckRecord:
-    # Terms reach millions of bits, so the record stores exponents: the
-    # comparison a == 2**b_n is exact either way, and an exponent prints.
-    is_pow2 = a & (a - 1) == 0
-    actual = a.bit_length() - 1 if is_pow2 else None
-    return CheckRecord(n, is_pow2 and actual == b_n, b_n, actual)
 
 
 def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> VerificationReport:
     """Check gap term == 2**b(n) for n = 3..n_max.
 
-    Each gap term is recomputed from the divisor definition along the chosen
-    path; nothing is assumed from the identity being checked. Failures are
-    recorded, not raised; records hold the exponents being compared (actual
-    is None for a term that is not a power of two at all).
+    Each gap term is recomputed from the divisor definition by a_seq on the
+    chosen path; nothing is assumed from the identity being checked.
+    Failures are recorded, not raised; records hold the exponents being
+    compared (actual is None for a term that is not a power of two at all).
     """
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     if check_path not in ("oracle", "factored"):
         raise ValueError(f"check_path must be 'oracle' or 'factored', got {check_path!r}")
     bs = b_seq(n_max)
+    rep = a_seq(n_max, check_path, oracle_bound=oracle_bound)
     records = []
-    if check_path == "oracle":
-        p = 48
-        for n in range(3, n_max + 1):
-            a = delta_above(p, 1, oracle_bound=oracle_bound).difference
-            records.append(_power_of_two_record(n, a, bs.term(n)))
-            p *= a
-    else:
-        if n_max > FACTORED_TERM_LIMIT:
-            raise ResourceLimit(
-                f"factored path is limited to {FACTORED_TERM_LIMIT} terms; "
-                f"got n_max={n_max}"
-            )
-        f = Factorization.from_mapping({2: 4, 3: 1})
-        for n in range(3, n_max + 1):
-            a = delta_above(f, 1).difference
-            records.append(_power_of_two_record(n, a, bs.term(n)))
-            f = _extend_product(f, a)
+    for n in range(3, n_max + 1):
+        actual = rep.two_exponent(n)
+        records.append(CheckRecord(n, actual == bs.term(n), bs.term(n), actual))
     return VerificationReport(f"gap term = 2^b(n) via {check_path} path", tuple(records))
 
 

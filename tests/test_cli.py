@@ -6,6 +6,7 @@ shell user sees them. Golden outputs are byte-exact.
 """
 
 import json
+import random
 import subprocess
 import sys
 
@@ -90,6 +91,36 @@ def test_seq_print_budget():
     # machine-scale terms print under any budget
     proc = run_cli("seq", "a", "--max", "7", "--digit-limit", "1")
     assert proc.returncode == 0
+
+
+def test_seq_digit_limit_must_be_positive():
+    for bad in ("0", "-5"):
+        proc = run_cli("seq", "a", "--max", "7", "--digit-limit", bad)
+        assert proc.returncode == 2
+        assert "--digit-limit" in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_decimal_rendering_matches_str():
+    from divgap.cli import SPLIT_BITS, decimal_str
+
+    # str() of huge ints is guarded on interpreters that have the guard
+    guarded = hasattr(sys, "set_int_max_str_digits")
+    if guarded:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        for k in (SPLIT_BITS - 1, SPLIT_BITS, SPLIT_BITS + 1, 2 * SPLIT_BITS + 3):
+            for x in (0, 1, 2**k - 1, 2**k, 2**k + 1, -(2**k) - 1):
+                assert decimal_str(x) == str(x)
+        rng = random.Random(2024)
+        for _ in range(40):
+            x = rng.getrandbits(rng.randint(1, 10**5))
+            assert decimal_str(x) == str(x)
+        assert decimal_str(2**10**6) == str(2**10**6)
+    finally:
+        if guarded:
+            sys.set_int_max_str_digits(old)
 
 
 def test_seq_fast_path_refuses_unprintable_range():

@@ -26,9 +26,11 @@ from divgap.divisors import (
     divisor_list,
     divisor_list_factored,
     factorize,
+    gap_factorization,
     middle_pair_3x2k,
 )
 from divgap.errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit
+from divgap.sequences import partial_product
 
 
 def naive_divisors(m):
@@ -232,6 +234,7 @@ def test_factored_route_agrees_with_oracle():
                 delta_above(f, 1)
         else:
             assert delta_above(f, 1) == want
+            assert gap_factorization(f, 1) == factorize(want.difference)
 
 
 def test_factored_route_on_awkward_shapes():
@@ -282,6 +285,63 @@ def test_factored_route_empty_factorization():
     assert delta(one) == 0
     with pytest.raises(NoQualifyingPair):
         delta_above(one, 0)
+
+
+# --- the minimal gap as a factorization ---
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 40), max_size=3),
+    st.integers(0, 10**4),
+)
+def test_gap_factorization_matches_the_materialized_difference(mapping, t):
+    f = Factorization.from_mapping(mapping)
+    bound = 10**9
+    try:
+        want = delta_above(f, t).difference
+    except NoQualifyingPair:
+        with pytest.raises(NoQualifyingPair):
+            gap_factorization(f, t, oracle_bound=bound)
+        return
+    try:
+        got = gap_factorization(f, t, oracle_bound=bound)
+    except OracleBoundExceeded:
+        # a refusal is honest only when the gap's part coprime to f's
+        # primes really lies above the trial-division bound
+        rest = want
+        for p in mapping:
+            while rest % p == 0:
+                rest //= p
+        assert rest > bound
+    else:
+        assert got.value() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=10**6), st.integers(0, 1000))
+def test_gap_factorization_matches_trial_division(m, t):
+    try:
+        want = delta_above(m, t).difference
+    except NoQualifyingPair:
+        with pytest.raises(NoQualifyingPair):
+            gap_factorization(factorize(m), t)
+    else:
+        assert gap_factorization(factorize(m), t) == factorize(want)
+
+
+def test_gap_factorization_on_the_sequence_products():
+    # the scale the sequence walk runs at: products up to 3 * 2^7972439
+    for n in range(3, 41):
+        f = partial_product(n, "fast").factorization
+        assert gap_factorization(f, 1).value() == delta_above(f, 1).difference
+
+
+def test_gap_factorization_edge_inputs():
+    with pytest.raises(ValueError):
+        gap_factorization(Factorization(((2, 4),)), -1)
+    with pytest.raises(NoQualifyingPair):
+        gap_factorization(Factorization(()), 0)
 
 
 # --- the 3*2^k laws ---

@@ -5,15 +5,19 @@ this package existed; the three computation paths must reproduce them and
 each other.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divgap.errors import InsufficientPrecision, OracleBoundExceeded, ResourceLimit
+from divgap import sequences
+from divgap.cli import run
+from divgap.divisors import Factorization
+from divgap.errors import InsufficientPrecision, OracleBoundExceeded
 from divgap.intervals import RationalInterval
 from divgap.sequences import (
     A_PATHS,
-    FACTORED_TERM_LIMIT,
     a_seq,
     b_closed_form,
     b_seq,
@@ -102,9 +106,15 @@ def test_oracle_path_stops_at_its_bound():
         a_seq(11, "oracle")
 
 
-def test_factored_path_has_a_term_limit():
-    with pytest.raises(ResourceLimit):
-        a_seq(FACTORED_TERM_LIMIT + 1, "factored")
+def test_factored_path_reaches_sixty(capsys):
+    # the walk stays in exponent space, so index 60 (gap of the product
+    # 3 * 2^26510400995) is exact and every term from 3 on reads 2^b(n)
+    rep = a_seq(60, "factored")
+    b = b_seq(60).terms
+    assert [rep.two_exponent(n) for n in range(3, 61)] == b[2:]
+    # what refuses now is the print budget, at term 40
+    assert run(["seq", "a", "--max", "51"]) == 3
+    assert "term 40" in capsys.readouterr().err
 
 
 def test_fast_path_reaches_two_hundred():
@@ -211,6 +221,34 @@ def test_verify_theorem_factored_range():
     rep = verify_theorem(40, "factored")
     assert rep.all_passed
     assert len(rep.records) == 38
+
+
+def test_a_gap_off_the_identity_is_recorded_not_assumed(monkeypatch):
+    # skew the gap at index 5 (product 384 = 2^7 * 3) to 3 * 8 and check that
+    # the factored path materializes it and the theorem check flags it
+    real = sequences.gap_factorization
+    skew = Factorization(((3, 1),))
+
+    def skewed(f, threshold, **kwargs):
+        gap = real(f, threshold, **kwargs)
+        return gap.multiply(skew) if f.pairs == ((2, 7), (3, 1)) else gap
+
+    monkeypatch.setattr(sequences, "gap_factorization", skewed)
+    assert a_seq(5, "factored").term(5) == 24
+    rep = verify_theorem(5)
+    assert rep.records[2].index == 5 and rep.records[2].actual is None
+    assert not rep.all_passed
+
+
+def test_verify_theorem_stays_small_in_memory():
+    # the products reach 3 * 2^689596369 at n = 50; none of it may be built
+    tracemalloc.start()
+    try:
+        assert verify_theorem(50).all_passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_verify_theorem_rejects_bad_range():
