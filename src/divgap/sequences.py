@@ -25,6 +25,9 @@ from .intervals import RationalInterval
 from .report import CheckRecord, VerificationReport
 
 A_PATHS = ("oracle", "factored", "fast")
+# verify_theorem re-derives the factored path's gaps by trial division while
+# the partial product stays below this; each costs at most isqrt(bound) steps.
+CROSS_CHECK_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -212,9 +215,12 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     """Check gap term == 2**b(n) for n = 3..n_max.
 
     Each gap term is recomputed from the divisor definition by a_seq on the
-    chosen path; nothing is assumed from the identity being checked.
-    Failures are recorded, not raised; records hold the exponents being
-    compared (actual is None for a term that is not a power of two at all).
+    chosen path; nothing is assumed from the identity being checked. On the
+    factored path, the gaps whose partial product is below CROSS_CHECK_BOUND
+    are also recomputed by trial division on the integer product, and a
+    disagreement fails the record. Failures are recorded, not raised; records
+    hold the exponents being compared (actual is None for a term that is not
+    a power of two at all).
     """
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
@@ -223,9 +229,15 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     bs = b_seq(n_max)
     rep = a_seq(n_max, check_path, oracle_bound=oracle_bound)
     records = []
+    product = 48  # terms 0..2: 4 * 3 * 4
     for n in range(3, n_max + 1):
         actual = rep.two_exponent(n)
-        records.append(CheckRecord(n, actual == bs.term(n), bs.term(n), actual))
+        ok = actual == bs.term(n)
+        if check_path == "factored" and product < CROSS_CHECK_BOUND:
+            a = rep.term(n)
+            ok = ok and delta_above(product, 1, oracle_bound=oracle_bound).difference == a
+            product *= a
+        records.append(CheckRecord(n, ok, bs.term(n), actual))
     return VerificationReport(f"gap term = 2^b(n) via {check_path} path", tuple(records))
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from divgap import sequences
 from divgap.cli import run
-from divgap.divisors import Factorization
+from divgap.divisors import DivisorPair, Factorization
 from divgap.errors import InsufficientPrecision, OracleBoundExceeded
 from divgap.intervals import RationalInterval
 from divgap.sequences import (
@@ -238,6 +238,24 @@ def test_a_gap_off_the_identity_is_recorded_not_assumed(monkeypatch):
     rep = verify_theorem(5)
     assert rep.records[2].index == 5 and rep.records[2].actual is None
     assert not rep.all_passed
+
+
+def test_factored_theorem_cross_checks_small_gaps_by_trial_division(monkeypatch):
+    # the trial-division route sees products 48, 96, 384, 3072, 49152 up to
+    # n = 7; a wrong answer from it fails the record although the walk's
+    # exponent still matches b(n)
+    real = sequences.delta_above
+    calls = []
+
+    def skewed(m, threshold, **kwargs):
+        calls.append(m)
+        return DivisorPair(1, m) if m == 384 else real(m, threshold, **kwargs)
+
+    monkeypatch.setattr(sequences, "delta_above", skewed)
+    rep = verify_theorem(12)
+    assert calls == [48, 96, 384, 3072, 49152]
+    bad = [r for r in rep.records if not r.passed]
+    assert [(r.index, r.actual == r.expected) for r in bad] == [(5, True)]
 
 
 def test_verify_theorem_stays_small_in_memory():
