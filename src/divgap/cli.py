@@ -19,7 +19,6 @@ from .constants import (
     DEFAULT_TERMS,
     c_digits,
     c_enclosure,
-    k3_digits,
     k3_enclosure,
     relation_check,
 )
@@ -44,6 +43,7 @@ from .errors import (
     ResourceLimit,
     SimulationCapExceeded,
 )
+from .intervals import render_digits
 from .josephus import (
     SIMULATION_CAP,
     survivor_recurrence,
@@ -283,12 +283,9 @@ def _cmd_josephus(args) -> Outcome:
 
 
 def _cmd_constants(args) -> Outcome:
-    if args.which == "c":
-        iv = c_enclosure(args.terms)
-        cert = c_digits(args.terms, args.digits)
-    else:
-        iv = k3_enclosure(args.terms)
-        cert = k3_digits(args.terms, args.digits)
+    enclosure = c_enclosure if args.which == "c" else k3_enclosure
+    iv = enclosure(args.terms)
+    cert = render_digits(iv, args.digits or args.terms)
     shown = cert.decimal_prefix if cert.decimal_prefix else "(no certified digits)"
     lines = [shown, f"certified places: {cert.certified_places}", f"terms: {args.terms}"]
     result = {
@@ -507,14 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", parents=[common], help="certified constant digits")
     p.add_argument("which", choices=["c", "k3"])
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
-    p.add_argument("--digits", type=int, default=None,
+    p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
+    p.add_argument("--digits", type=_positive_int, default=None,
                    help="cap on rendered decimal places (default: maximal)")
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("verify", parents=[common], help="cross-checks between components")
     p.add_argument("target", choices=["relation"])
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
+    p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
     p.add_argument("--min-places", type=int, default=24)
     p.set_defaults(handler=_cmd_verify)
 
@@ -522,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute every reference value and identity")
     p.add_argument("--fast-only", action="store_true",
                    help="skip the trial-division oracle rows")
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
+    p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -562,8 +559,7 @@ def run(argv=None) -> int:
     except (EmptyIntersection, NoQualifyingPair) as exc:
         return _emit_failure(args, exc, "finding", EXIT_FINDING)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _emit_failure(args, exc, "error", EXIT_USAGE)
     if args.json:
         print(json.dumps(_envelope(args, out.result, out.status)))
     elif getattr(args, "bfile", False):

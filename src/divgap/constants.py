@@ -25,25 +25,26 @@ K3_SCALE = Fraction(2, 9)
 def _intersect_growth_constraints(terms: list[int]) -> RationalInterval:
     """Intersect the per-index constraints ((b - 1/2), (b + 1/2)] * (2/3)^n.
 
+    Constraint n is [(2b - 1) * 2^(n-1), (2b + 1) * 2^(n-1)] / 3^n, so the
+    running bounds are kept as integer numerators over 3^n: each step
+    multiplies them by 3 and compares against the shifted candidates. One
+    Fraction per endpoint is built at the end; Fraction arithmetic in the
+    loop would re-normalize 1.58n-bit numbers by gcd at every step.
+
     An empty running intersection would falsify the ceiling closed form for
     the supplied terms, so it aborts with the first violating index instead
     of clamping.
     """
-    lo = hi = None
-    scale = Fraction(1)
-    two_thirds = Fraction(2, 3)
-    half = Fraction(1, 2)
-    for n, b in enumerate(terms, start=1):
-        scale *= two_thirds
-        cand_lo = (b - half) * scale
-        cand_hi = (b + half) * scale
-        lo = cand_lo if lo is None else max(lo, cand_lo)
-        hi = cand_hi if hi is None else min(hi, cand_hi)
+    lo, hi = 2 * terms[0] - 1, 2 * terms[0] + 1
+    for n, b in enumerate(terms[1:], start=2):
+        lo = max(3 * lo, (2 * b - 1) << (n - 1))
+        hi = min(3 * hi, (2 * b + 1) << (n - 1))
         if lo > hi:
             raise EmptyIntersection(
                 f"constraint {n} (term {b}) empties the intersection", index=n
             )
-    return RationalInterval(lo, hi)
+    den = 3 ** len(terms)
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def c_enclosure(n_terms: int) -> RationalInterval:
@@ -93,17 +94,17 @@ def relation_check(n_terms: int) -> RelationReport:
     c_iv = c_enclosure(n_terms)
     scaled = k3_enclosure(n_terms).scale(K3_SCALE)
     hull = c_iv.hull(scaled)
-    places = render_digits(hull, max(n_terms, 1)).certified_places
+    places = render_digits(hull, n_terms).certified_places
     return RelationReport(c_iv, scaled, c_iv.overlaps(scaled), places)
 
 
 def c_digits(n_terms: int, max_places: int | None = None) -> DigitCertificate:
     """Certified decimal digits of the growth constant."""
-    cap = max_places if max_places is not None else max(n_terms, 1)
+    cap = max_places if max_places is not None else n_terms
     return render_digits(c_enclosure(n_terms), cap)
 
 
 def k3_digits(n_terms: int, max_places: int | None = None) -> DigitCertificate:
     """Certified decimal digits of the circle-game constant."""
-    cap = max_places if max_places is not None else max(n_terms, 1)
+    cap = max_places if max_places is not None else n_terms
     return render_digits(k3_enclosure(n_terms), cap)

@@ -101,6 +101,23 @@ def test_seq_digit_limit_must_be_positive():
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("constants", "c"), "--terms"),
+        (("constants", "k3"), "--digits"),
+        (("verify", "relation"), "--terms"),
+        (("reproduce", "--fast-only"), "--terms"),
+    ],
+)
+def test_term_and_place_counts_must_be_positive(args, flag):
+    for bad in ("0", "-5"):
+        proc = run_cli(*args, flag, bad)
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_decimal_rendering_matches_str():
     from divgap.cli import SPLIT_BITS, decimal_str
 
@@ -220,6 +237,18 @@ def test_json_error_envelope_on_resource_exit():
     top = dict(json.loads(proc.stdout, object_pairs_hook=lambda kv: kv))
     assert top["status"] == "error"
     assert "error" in proc.stderr
+
+
+def test_json_error_envelope_on_domain_error():
+    proc = run_cli("delta", "0", "--json")
+    assert proc.returncode == 2
+    top = dict(json.loads(proc.stdout, object_pairs_hook=lambda kv: kv))
+    assert top["status"] == "error"
+    assert dict(top["result"])["error"] == "ValueError"
+    plain = run_cli("delta", "0")
+    assert plain.returncode == 2
+    assert plain.stdout == ""
+    assert "error" in plain.stderr
 
 
 # --- determinism ---

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divgap.cli
+import divgap.constants
 from divgap.constants import (
     DEFAULT_TERMS,
     K3_SCALE,
+    _intersect_growth_constraints,
     c_digits,
     c_enclosure,
     k3_digits,
@@ -22,6 +25,7 @@ from divgap.constants import (
 )
 from divgap.errors import EmptyIntersection
 from divgap.intervals import DigitCertificate, RationalInterval, render_digits
+from divgap.sequences import b_seq
 
 # 34 certified places of the growth constant from the 200-term enclosure
 C_200 = "0.3605045561966149591015446628665164"
@@ -146,7 +150,7 @@ def test_c_enclosure_width_law():
 
 def test_c_enclosure_nesting():
     outer = None
-    for n in (1, 3, 10, 40, 120, 300):
+    for n in (1, 3, 10, 40, 120, 200, 300, 1000, 5000):
         iv = c_enclosure(n)
         assert iv.width >= 0  # non-empty by construction
         if outer is not None:
@@ -155,8 +159,9 @@ def test_c_enclosure_nesting():
 
 
 def test_c_enclosure_more_terms_certify_more_digits():
-    assert c_digits(300).decimal_prefix.startswith(C_200)
-    assert c_digits(300).certified_places >= 50
+    for n in (300, 5000):
+        assert c_digits(n).decimal_prefix.startswith(C_200)
+        assert c_digits(n).certified_places >= 50
 
 
 def test_c_enclosure_validates():
@@ -165,12 +170,58 @@ def test_c_enclosure_validates():
 
 
 def test_c_enclosure_reports_first_violation():
-    from divgap.constants import _intersect_growth_constraints
-
     # a fabricated second term far outside the first term's band
     with pytest.raises(EmptyIntersection) as info:
         _intersect_growth_constraints([1, 100])
     assert info.value.index == 2
+
+
+def _fraction_intersection(terms: list[int]) -> RationalInterval:
+    """Reference: the same intersection with every step in Fraction arithmetic."""
+    lo = hi = None
+    scale = Fraction(1)
+    two_thirds = Fraction(2, 3)
+    half = Fraction(1, 2)
+    for n, b in enumerate(terms, start=1):
+        scale *= two_thirds
+        cand_lo = (b - half) * scale
+        cand_hi = (b + half) * scale
+        lo = cand_lo if lo is None else max(lo, cand_lo)
+        hi = cand_hi if hi is None else min(hi, cand_hi)
+        if lo > hi:
+            raise EmptyIntersection(
+                f"constraint {n} (term {b}) empties the intersection", index=n
+            )
+    return RationalInterval(lo, hi)
+
+
+B_1500 = b_seq(1500).terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=len(B_1500)))
+def test_integer_intersection_matches_fraction_reference(n):
+    assert _intersect_growth_constraints(B_1500[:n]) == _fraction_intersection(B_1500[:n])
+
+
+# every one-term shift of the first 1500 terms by +-1 or +-2 empties the
+# intersection within 8 further terms; 16 leaves room
+SHIFT_REACH = 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shifted_term_raises_like_the_fraction_reference(data):
+    k = data.draw(st.integers(min_value=1, max_value=len(B_1500) - SHIFT_REACH))
+    n = data.draw(st.integers(min_value=k + SHIFT_REACH, max_value=len(B_1500)))
+    terms = B_1500[:n]
+    terms[k - 1] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    with pytest.raises(EmptyIntersection) as want:
+        _fraction_intersection(terms)
+    with pytest.raises(EmptyIntersection) as got:
+        _intersect_growth_constraints(terms)
+    assert got.value.index == want.value.index
+    assert str(got.value) == str(want.value)
 
 
 # --- the ceiling-iteration constant ---
@@ -230,6 +281,12 @@ def test_relation_scaling_factor():
     assert rep.k3_scaled_interval.hi == want.hi
 
 
+def test_relation_at_5000_terms():
+    rep = relation_check(5000)
+    assert rep.overlap
+    assert rep.agreeing_places >= 870
+
+
 def test_relation_agreement_grows_with_terms():
     places = [relation_check(n).agreeing_places for n in (25, 50, 100, 200)]
     assert places == sorted(places)
@@ -237,3 +294,23 @@ def test_relation_agreement_grows_with_terms():
 
 def test_default_terms():
     assert DEFAULT_TERMS == 200
+
+
+# --- one enclosure per command ---
+
+
+@pytest.mark.parametrize("which, name", [("c", "c_enclosure"), ("k3", "k3_enclosure")])
+def test_constants_command_builds_its_enclosure_once(which, name, monkeypatch, capsys):
+    real = getattr(divgap.constants, name)
+    calls = []
+
+    def counted(n_terms):
+        calls.append(n_terms)
+        return real(n_terms)
+
+    # the cli and the digit helpers each look the name up in their own module
+    for module in (divgap.cli, divgap.constants):
+        monkeypatch.setattr(module, name, counted)
+    assert divgap.cli.run(["constants", which, "--terms", "300"]) == 0
+    assert calls == [300]
+    assert capsys.readouterr().out.splitlines()[2] == "terms: 300"
