@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -35,14 +36,7 @@ from .divisors import (
     factorize,
     middle_pair_3x2k,
 )
-from .errors import (
-    EmptyIntersection,
-    InsufficientPrecision,
-    NoQualifyingPair,
-    OracleBoundExceeded,
-    ResourceLimit,
-    SimulationCapExceeded,
-)
+from .errors import EXIT_FINDING, DivgapError, InsufficientPrecision, ResourceLimit
 from .intervals import render_digits
 from .josephus import (
     SIMULATION_CAP,
@@ -54,8 +48,6 @@ from .sequences import A_PATHS, a_seq, b_seq, verify_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_RESOURCE = 3
-EXIT_FINDING = 4
 
 C_REFERENCE_26 = "0.36050455619661495910154466"
 
@@ -71,26 +63,25 @@ DIGIT_PRINT_LIMIT = 10**6
 SPLIT_BITS = 4096
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
-_PARAM_KEYS = {
-    "seq": ("which", "max", "path", "oracle_bound", "digit_limit"),
-    "delta": ("m", "above", "oracle_bound"),
-    "divisors": ("m", "count_only", "oracle_bound", "divisor_cap"),
-    "theorem": ("max", "path", "oracle_bound"),
-    "lemma": ("which", "max_k"),
-    "josephus": ("n", "q", "algo", "sim_cap"),
-    "constants": ("which", "terms", "digits"),
-    "verify": ("target", "terms", "min_places"),
-    "reproduce": ("fast_only", "terms"),
-}
+# namespace entries that select the command or output mode rather than echo
+# a request parameter
+_NOT_PARAMETERS = ("command", "json", "bfile", "handler")
 
 
 @dataclass
 class Outcome:
     result: dict
     plain: list[str]
-    status: str = "ok"
+    ok: bool = True
     bfile: list[str] | None = None
-    exit_code: int = EXIT_OK
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.ok else "finding"
+
+    @property
+    def exit_code(self) -> int:
+        return EXIT_OK if self.ok else EXIT_FINDING
 
 
 def decimal_str(n: int) -> str:
@@ -139,7 +130,7 @@ def _command_label(args) -> str:
 
 
 def _envelope(args, result, status) -> dict:
-    params = {k: getattr(args, k) for k in _PARAM_KEYS[args.command]}
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     return {
         "command": _command_label(args),
         "parameters": _jsonable(params),
@@ -223,9 +214,7 @@ def _cmd_theorem(args) -> Outcome:
             for r in rep.failures
         ],
     }
-    ok = rep.all_passed
-    return Outcome(result, lines, status="ok" if ok else "finding",
-                   exit_code=EXIT_OK if ok else EXIT_FINDING)
+    return Outcome(result, lines, ok=rep.all_passed)
 
 
 def _cmd_lemma(args) -> Outcome:
@@ -255,9 +244,7 @@ def _cmd_lemma(args) -> Outcome:
         ],
         "notes": list(rep.notes),
     }
-    ok = rep.all_passed
-    return Outcome(result, lines, status="ok" if ok else "finding",
-                   exit_code=EXIT_OK if ok else EXIT_FINDING)
+    return Outcome(result, lines, ok=rep.all_passed)
 
 
 def _cmd_josephus(args) -> Outcome:
@@ -278,8 +265,7 @@ def _cmd_josephus(args) -> Outcome:
         "results": [{"algorithm": r.algorithm, "survivor": r.survivor} for r in runs],
         "agree": agree,
     }
-    return Outcome(result, lines, status="ok" if agree else "finding",
-                   exit_code=EXIT_OK if agree else EXIT_FINDING)
+    return Outcome(result, lines, ok=agree)
 
 
 def _cmd_constants(args) -> Outcome:
@@ -321,8 +307,7 @@ def _cmd_verify(args) -> Outcome:
         "k3_scaled": {"lo": rel.k3_scaled_interval.lo, "hi": rel.k3_scaled_interval.hi},
         "passed": passed,
     }
-    return Outcome(result, lines, status="ok" if passed else "finding",
-                   exit_code=EXIT_OK if passed else EXIT_FINDING)
+    return Outcome(result, lines, ok=passed)
 
 
 # --- full reproduction ---
@@ -432,21 +417,25 @@ def _cmd_reproduce(args) -> Outcome:
     fails = sum(r["verdict"] == "FAIL" for r in rows)
     lines.append(f"{passes} pass, {findings} flagged finding(s), {fails} fail")
     result = {"fast_only": args.fast_only, "terms": args.terms, "rows": rows, "all_ok": all_ok}
-    return Outcome(result, lines, status="ok" if all_ok else "finding",
-                   exit_code=EXIT_OK if all_ok else EXIT_FINDING)
+    return Outcome(result, lines, ok=all_ok)
 
 
 # --- parser and entry points ---
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every run()."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
@@ -485,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", parents=[common],
                        help="check gap term = 2^b(n) over a range")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--path", choices=["oracle", "factored"], default="factored")
+    p.add_argument("--path", choices=list(A_PATHS), default="factored")
     p.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
     p.set_defaults(handler=_cmd_theorem)
 
@@ -553,11 +542,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     try:
         out = args.handler(args)
-    except (OracleBoundExceeded, ResourceLimit, SimulationCapExceeded,
-            InsufficientPrecision) as exc:
-        return _emit_failure(args, exc, "error", EXIT_RESOURCE)
-    except (EmptyIntersection, NoQualifyingPair) as exc:
-        return _emit_failure(args, exc, "finding", EXIT_FINDING)
+    except DivgapError as exc:
+        return _emit_failure(args, exc, exc.status, exc.exit_code)
     except ValueError as exc:
         return _emit_failure(args, exc, "error", EXIT_USAGE)
     if args.json:

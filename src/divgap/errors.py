@@ -1,8 +1,19 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, with the CLI status each maps to."""
+
+EXIT_RESOURCE = 3
+EXIT_FINDING = 4
 
 
 class DivgapError(Exception):
-    """Base class for every library-specific error."""
+    """Base class for every library-specific error.
+
+    status and exit_code are what the CLI reports for it: by default a
+    resource or precision limit; a mathematically meaningful negative result
+    overrides them.
+    """
+
+    status = "error"
+    exit_code = EXIT_RESOURCE
 
 
 class OracleBoundExceeded(DivgapError):
@@ -15,6 +26,9 @@ class ResourceLimit(DivgapError):
 
 class NoQualifyingPair(DivgapError):
     """No complementary-divisor pair has a difference above the requested threshold."""
+
+    status = "finding"
+    exit_code = EXIT_FINDING
 
 
 class SimulationCapExceeded(DivgapError):
@@ -32,6 +46,9 @@ class EmptyIntersection(DivgapError):
     running intersection; this situation would falsify the ceiling closed
     form, so callers must surface it rather than clamp.
     """
+
+    status = "finding"
+    exit_code = EXIT_FINDING
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)

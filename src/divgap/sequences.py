@@ -24,7 +24,7 @@ from .errors import InsufficientPrecision
 from .intervals import RationalInterval
 from .report import CheckRecord, VerificationReport
 
-A_PATHS = ("oracle", "factored", "fast")
+A_PATHS = ("oracle", "factored")
 # verify_theorem re-derives the factored path's gaps by trial division while
 # the partial product stays below this; each costs at most isqrt(bound) steps.
 CROSS_CHECK_BOUND = 1 << 20
@@ -34,8 +34,8 @@ CROSS_CHECK_BOUND = 1 << 20
 class SequenceReport:
     """A computed sequence prefix with the path that produced it.
 
-    The factored and fast paths hold their closing run of power-of-two terms
-    as exponents, turned into 2**e only when read; a term near index 60
+    The factored path holds its closing run of power-of-two terms as
+    exponents, turned into 2**e only when read; a term near index 60
     already needs megabytes, so iterate or index instead of materializing
     when the range is large.
     """
@@ -148,14 +148,6 @@ def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
     return SequenceReport("a", 0, "factored", prefix, tuple(reversed(exponents)))
 
 
-def _a_seq_fast(n_max: int) -> SequenceReport:
-    prefix = (4, 3, 4)[: n_max + 1]
-    if n_max < 3:
-        return SequenceReport("a", 0, "fast", prefix)
-    bs = b_seq(n_max)
-    return SequenceReport("a", 0, "fast", prefix, tuple(bs.term(n) for n in range(3, n_max + 1)))
-
-
 def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> SequenceReport:
     """Indices 0..n_max of the gap sequence via the chosen path.
 
@@ -164,9 +156,6 @@ def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUN
     factorizations, gaps by the descending divisor walk in exponent space;
     no integer of the terms' size is built, so it reaches the hundreds, and a
     term becomes an exponent only when its factorization is a power of two.
-    fast: trusts the power-of-two identity and only runs the b recurrence;
-    cross-validation against the other paths lives in verify_theorem and the
-    test suite.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -174,40 +163,26 @@ def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUN
         return _a_seq_oracle(n_max, oracle_bound)
     if path == "factored":
         return _a_seq_factored(n_max, oracle_bound)
-    if path == "fast":
-        return _a_seq_fast(n_max)
     raise ValueError(f"unknown path {path!r}, expected one of {A_PATHS}")
 
 
 def partial_product(n: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> PartialProductState:
     """Factored product of gap terms 0..n-1, plus the running b sum.
 
-    The fast path builds the factorization structurally (2^2, then 2^2 * 3,
-    then 3 * 2^(4 + b(3) + ... + b(n-1))); the factored path multiplies the
-    walk's gap factorizations and the oracle path factors its machine-size
-    terms.
+    The factored path multiplies the walk's gap factorizations; the oracle
+    path factors its machine-size terms.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    bs = b_seq(max(n - 1, 1))
-    b_sum = sum(bs.term(k) for k in range(1, n))
-    if path == "fast":
-        if n == 1:
-            f = Factorization.from_mapping({2: 2})
-        elif n == 2:
-            f = Factorization.from_mapping({2: 2, 3: 1})
-        else:
-            e = 4 + sum(bs.term(k) for k in range(3, n))
-            f = Factorization.from_mapping({2: e, 3: 1})
+    b_sum = sum(b_seq(max(n - 1, 1)).terms[: n - 1])
+    if path == "factored":
+        gaps = _factored_terms(n - 1, oracle_bound)
     else:
-        if path == "factored":
-            gaps = _factored_terms(n - 1, oracle_bound)
-        else:
-            gaps = [factorize(a, oracle_bound=oracle_bound)
-                    for a in a_seq(n - 1, path, oracle_bound=oracle_bound)]
-        f = Factorization(())
-        for g in gaps:
-            f = f.multiply(g)
+        gaps = [factorize(a, oracle_bound=oracle_bound)
+                for a in a_seq(n - 1, path, oracle_bound=oracle_bound)]
+    f = Factorization(())
+    for g in gaps:
+        f = f.multiply(g)
     return PartialProductState(n, f, b_sum)
 
 
@@ -215,17 +190,15 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     """Check gap term == 2**b(n) for n = 3..n_max.
 
     Each gap term is recomputed from the divisor definition by a_seq on the
-    chosen path; nothing is assumed from the identity being checked. On the
-    factored path, the gaps whose partial product is below CROSS_CHECK_BOUND
-    are also recomputed by trial division on the integer product, and a
-    disagreement fails the record. Failures are recorded, not raised; records
-    hold the exponents being compared (actual is None for a term that is not
-    a power of two at all).
+    chosen path, which must be one of A_PATHS; nothing is assumed from the
+    identity being checked. On the factored path, the gaps whose partial
+    product is below CROSS_CHECK_BOUND are also recomputed by trial division
+    on the integer product, and a disagreement fails the record. Failures are
+    recorded, not raised; records hold the exponents being compared (actual
+    is None for a term that is not a power of two at all).
     """
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
-    if check_path not in ("oracle", "factored"):
-        raise ValueError(f"check_path must be 'oracle' or 'factored', got {check_path!r}")
     bs = b_seq(n_max)
     rep = a_seq(n_max, check_path, oracle_bound=oracle_bound)
     records = []

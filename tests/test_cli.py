@@ -94,10 +94,11 @@ def test_seq_print_budget():
 
 
 def test_seq_digit_limit_must_be_positive():
-    for bad in ("0", "-5"):
+    for bad in ("0", "-5", "abc"):
         proc = run_cli("seq", "a", "--max", "7", "--digit-limit", bad)
         assert proc.returncode == 2
         assert "--digit-limit" in proc.stderr
+        assert "_positive_int" not in proc.stderr
         assert proc.stdout == ""
 
 
@@ -111,10 +112,11 @@ def test_seq_digit_limit_must_be_positive():
     ],
 )
 def test_term_and_place_counts_must_be_positive(args, flag):
-    for bad in ("0", "-5"):
+    for bad in ("0", "-5", "abc"):
         proc = run_cli(*args, flag, bad)
         assert proc.returncode == 2
         assert flag in proc.stderr
+        assert "_positive_int" not in proc.stderr
         assert proc.stdout == ""
 
 
@@ -140,10 +142,15 @@ def test_decimal_rendering_matches_str():
             sys.set_int_max_str_digits(old)
 
 
-def test_seq_fast_path_refuses_unprintable_range():
-    proc = run_cli("seq", "a", "--max", "200", "--path", "fast")
+def test_seq_refuses_unprintable_range_and_fast_path():
+    proc = run_cli("seq", "a", "--max", "200")
     assert proc.returncode == 3
     assert "digit" in proc.stderr
+    # the path that trusted the identity is gone; argparse refuses it
+    proc = run_cli("seq", "a", "--max", "7", "--path", "fast")
+    assert proc.returncode == 2
+    assert "--path" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_lemma_2_carries_the_note():
@@ -223,6 +230,27 @@ def test_envelope_round_trips():
     text = proc.stdout
     parsed = json.loads(text)
     assert json.dumps(parsed) == json.dumps(json.loads(json.dumps(parsed)))
+
+
+# every subcommand's parameters, in the order the envelope echoes them
+PARAMETER_KEYS = {
+    "seq": (("seq", "b", "--max", "3"), ["which", "max", "path", "oracle_bound", "digit_limit"]),
+    "delta": (("delta", "48"), ["m", "above", "oracle_bound"]),
+    "divisors": (("divisors", "48"), ["m", "count_only", "oracle_bound", "divisor_cap"]),
+    "theorem": (("theorem", "--max", "3"), ["max", "path", "oracle_bound"]),
+    "lemma": (("lemma", "1", "--max-k", "3"), ["which", "max_k"]),
+    "josephus": (("josephus", "--n", "5", "--q", "2"), ["n", "q", "algo", "sim_cap"]),
+    "constants": (("constants", "c", "--terms", "5"), ["which", "terms", "digits"]),
+    "verify": (("verify", "relation", "--terms", "200"), ["target", "terms", "min_places"]),
+    "reproduce": (("reproduce", "--fast-only", "--terms", "60"), ["fast_only", "terms"]),
+}
+
+
+@pytest.mark.parametrize("command", PARAMETER_KEYS)
+def test_json_parameter_keys_per_subcommand(command):
+    args, keys = PARAMETER_KEYS[command]
+    _, payload = envelope(*args)
+    assert [k for k, _ in dict(payload)["parameters"]] == keys
 
 
 def test_json_parameters_echo_the_request():

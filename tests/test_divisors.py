@@ -30,7 +30,7 @@ from divgap.divisors import (
     middle_pair_3x2k,
 )
 from divgap.errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit
-from divgap.sequences import partial_product
+from divgap.sequences import b_seq
 
 
 def naive_divisors(m):
@@ -332,8 +332,11 @@ def test_gap_factorization_matches_trial_division(m, t):
 
 def test_gap_factorization_on_the_sequence_products():
     # the scale the sequence walk runs at: products up to 3 * 2^7972439
+    # each product 3 * 2^(2 + b(1) + ... + b(n-1)) is built from the
+    # recurrence, independently of the walk under test
+    b = b_seq(40).terms
     for n in range(3, 41):
-        f = partial_product(n, "fast").factorization
+        f = Factorization.from_mapping({2: 2 + sum(b[: n - 1]), 3: 1})
         assert gap_factorization(f, 1).value() == delta_above(f, 1).difference
 
 

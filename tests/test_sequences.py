@@ -1,8 +1,8 @@
 """Tests for the gap sequence a, the ceiling recurrence b, and their product.
 
 Pinned prefixes were frozen from a standalone brute-force enumeration before
-this package existed; the three computation paths must reproduce them and
-each other.
+this package existed; both computation paths must reproduce them, and the
+factored path's power-of-two terms must match the ceiling recurrence.
 """
 
 import tracemalloc
@@ -89,15 +89,15 @@ def test_a_seq_rejects_bad_arguments():
 def test_paths_agree_to_ten():
     oracle = a_seq(10, "oracle").terms
     factored = a_seq(10, "factored").terms
-    fast = a_seq(10, "fast").terms
-    assert oracle == factored == fast
+    assert oracle == factored
+    assert factored[3:] == [1 << e for e in b_seq(10).terms[2:]]
 
 
-def test_factored_and_fast_agree_to_forty():
+def test_factored_path_matches_b_to_forty():
     factored = a_seq(40, "factored")
-    fast = a_seq(40, "fast")
+    b = b_seq(40).terms
     for n in range(41):
-        assert factored.term(n) == fast.term(n)
+        assert factored.term(n) == (A_PREFIX[n] if n < 3 else 1 << b[n - 1])
 
 
 def test_oracle_path_stops_at_its_bound():
@@ -117,12 +117,14 @@ def test_factored_path_reaches_sixty(capsys):
     assert "term 40" in capsys.readouterr().err
 
 
-def test_fast_path_reaches_two_hundred():
+def test_factored_path_reaches_two_hundred():
     # late terms are astronomically large; they stay exponents and are
-    # checked against the ceiling recurrence without materializing
-    rep = a_seq(200, "fast")
+    # checked against the ceiling recurrence without materializing. The run
+    # of exponents starts at index 2, whose term 4 is 2^2.
+    rep = a_seq(200, "factored")
     b = b_seq(200).terms
-    assert list(rep.exponents) == b[2:]
+    assert rep.prefix == (4, 3)
+    assert list(rep.exponents) == [2] + b[2:]
     assert rep.term(3) == 2
     assert rep.term(45) == 1 << b[44]
 
@@ -136,16 +138,16 @@ def test_b_is_nondecreasing():
 
 
 def test_a_is_nondecreasing_from_three():
-    rep = a_seq(120, "fast")
-    exps = rep.exponents  # exponents of the terms from index 3 on
+    rep = a_seq(120, "factored")
+    exps = [rep.two_exponent(n) for n in range(3, 121)]
     assert all(x <= y for x, y in zip(exps, exps[1:]))
 
 
 def test_theorem_links_a_to_b():
     b = b_seq(40).terms
-    fast = a_seq(40, "fast")
+    factored = a_seq(40, "factored")
     for n in range(3, 41):
-        assert fast.term(n) == 1 << b[n - 1]
+        assert factored.term(n) == 1 << b[n - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,10 +172,10 @@ def test_partial_product_small_values():
 
 
 def test_partial_product_structure():
-    state = partial_product(1, "fast")
+    state = partial_product(1, "factored")
     assert state.factorization.pairs == ((2, 2),)
     for n in range(2, 30):
-        pairs = partial_product(n, "fast").factorization.pairs
+        pairs = partial_product(n, "factored").factorization.pairs
         assert len(pairs) == 2
         assert pairs[0][0] == 2 and pairs[1] == (3, 1)
 
@@ -181,17 +183,17 @@ def test_partial_product_structure():
 def test_partial_product_exponent_bookkeeping():
     b = b_seq(60).terms
     for n in range(3, 60):
-        e = partial_product(n, "fast").factorization.pairs[0][1]
+        e = partial_product(n, "factored").factorization.pairs[0][1]
         assert e == 2 + sum(b[: n - 1])
     # consecutive exponents differ by exactly b_n
-    e_prev = partial_product(10, "fast").factorization.pairs[0][1]
-    e_next = partial_product(11, "fast").factorization.pairs[0][1]
+    e_prev = partial_product(10, "factored").factorization.pairs[0][1]
+    e_next = partial_product(11, "factored").factorization.pairs[0][1]
     assert e_next - e_prev == b[9]
 
 
 def test_partial_product_running_sum():
     b = b_seq(30).terms
-    state = partial_product(30, "fast")
+    state = partial_product(30, "factored")
     assert state.running_b_sum == sum(b[:29])
 
 
@@ -199,12 +201,12 @@ def test_partial_product_paths_agree():
     for n in range(1, 12):
         want = partial_product(n, "oracle").factorization
         assert partial_product(n, "factored").factorization == want
-        assert partial_product(n, "fast").factorization == want
 
 
 def test_partial_product_known_large_exponent():
-    # frozen from an earlier run of the recurrence alone
-    state = partial_product(40, "fast")
+    # frozen from an earlier run of the recurrence alone; the walk must
+    # reach it from the divisor definition
+    state = partial_product(40, "factored")
     assert state.factorization.pairs[0] == (2, 7972439)
 
 
@@ -273,7 +275,7 @@ def test_verify_theorem_rejects_bad_range():
     with pytest.raises(ValueError):
         verify_theorem(2, "factored")
     with pytest.raises(ValueError):
-        verify_theorem(10, "fast")  # fast assumes the theorem; not a check
+        verify_theorem(10, "fast")  # not a path: a_seq refuses it
 
 
 # --- closed form for b ---
