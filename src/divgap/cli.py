@@ -50,6 +50,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 C_REFERENCE_26 = "0.36050455619661495910154466"
+# places c and (2/9)*K3 must share for the relation to count as reproduced
+RELATION_PLACES = 24
 
 # Largest decimal rendering seq will attempt per term. Through decimal_str a
 # million-digit term takes 0.08 s as a power of two and 0.54 s in general
@@ -322,8 +324,28 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
     """Recompute every reference value and identity; returns (rows, all_ok).
 
     The middle-pair exponent row is a documented finding, not a failure: the
-    corrected exponent is what enumeration confirms.
+    corrected exponent is what enumeration confirms. Too few terms to reach
+    the constants' reference places raises InsufficientPrecision, as verify
+    relation does, unless a certified digit disagrees with the reference:
+    that is a failed row.
     """
+    cert = c_digits(terms)
+    rel = relation_check(terms)
+    places = len(C_REFERENCE_26) - 2
+    if C_REFERENCE_26.startswith(cert.decimal_prefix[: len(C_REFERENCE_26)]):
+        if cert.certified_places < places:
+            raise InsufficientPrecision(
+                f"{terms} terms certify the growth constant to only "
+                f"{cert.certified_places} places, below the {places} of the reference; "
+                "raise --terms"
+            )
+        if rel.overlap and rel.agreeing_places < RELATION_PLACES:
+            raise InsufficientPrecision(
+                f"{terms} terms make the relation intervals agree to only "
+                f"{rel.agreeing_places} places, below the required {RELATION_PLACES}; "
+                "raise --terms"
+            )
+
     rows = []
 
     path = "factored" if fast_only else "oracle"
@@ -379,7 +401,6 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
         "2^ceil(k/2)", "2^(ceil(k/2) - 1)", corrected, finding=corrected,
     ))
 
-    cert = c_digits(terms)
     ok = cert.decimal_prefix.startswith(C_REFERENCE_26)
     shown = cert.decimal_prefix[: len(C_REFERENCE_26)]
     rows.append(_row(
@@ -387,11 +408,10 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
         C_REFERENCE_26, f"{shown} ({cert.certified_places} certified)", ok,
     ))
 
-    rel = relation_check(terms)
-    ok = rel.overlap and rel.agreeing_places >= 24
+    ok = rel.overlap and rel.agreeing_places >= RELATION_PLACES
     rows.append(_row(
         f"growth constant = (2/9) * game constant ({terms} terms)",
-        "overlap, >= 24 shared places",
+        f"overlap, >= {RELATION_PLACES} shared places",
         f"overlap: {'yes' if rel.overlap else 'no'}, {rel.agreeing_places} shared places",
         ok,
     ))
@@ -488,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", choices=["recurrence", "simulation", "ow", "all"], default="all")
-    p.add_argument("--sim-cap", type=int, default=SIMULATION_CAP)
+    p.add_argument("--sim-cap", type=_positive_int, default=SIMULATION_CAP)
     p.set_defaults(handler=_cmd_josephus)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant digits")
@@ -501,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="cross-checks between components")
     p.add_argument("target", choices=["relation"])
     p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
-    p.add_argument("--min-places", type=int, default=24)
+    p.add_argument("--min-places", type=int, default=RELATION_PLACES)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("reproduce", parents=[common],

@@ -49,11 +49,23 @@ def _validate(n: int, q: int) -> None:
 
 
 def survivor_recurrence(n: int, q: int) -> SurvivorResult:
-    """Fold the one-smaller-circle recurrence up from a single person."""
+    """Fold the one-smaller-circle recurrence up from a single person.
+
+    The fold is pos <- (pos + q) mod m for m = 2..n. While
+    pos + s*(q-1) < m, the next s steps never wrap and each just adds q, so
+    they run as one batch; the step after a batch wraps. That takes about
+    q*ln(n) iterations when q is much smaller than n, and one step at a time
+    while q is at least the circle size.
+    """
     _validate(n, q)
-    pos = 0
-    for m in range(2, n + 1):
-        pos = (pos + q) % m
+    pos, m = 0, 1
+    while m < n:
+        s = min((m - pos - 1) // (q - 1), n - m)
+        pos += s * q
+        m += s
+        if m < n:
+            m += 1
+            pos = (pos + q) % m
     return SurvivorResult(n, q, pos + 1, "recurrence")
 
 

@@ -286,7 +286,7 @@ def test_json_error_envelope_on_domain_error():
     "args",
     [
         ("seq", "a", "--max", "20"),
-        ("reproduce", "--fast-only", "--terms", "60"),
+        ("reproduce", "--fast-only", "--terms", "160"),
         ("constants", "c", "--terms", "80", "--json"),
     ],
 )
@@ -319,6 +319,27 @@ def test_exit_resource_on_simulation_cap():
     assert "--sim-cap" in proc.stderr
 
 
+def test_sim_cap_must_be_positive():
+    for bad in ("0", "-1", "abc"):
+        proc = run_cli("josephus", "--n", "10", "--q", "3", "--sim-cap", bad)
+        assert proc.returncode == 2
+        assert "--sim-cap" in proc.stderr
+        assert "_positive_int" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_recurrence_reaches_huge_n():
+    n = str(10**300)
+    rec = run_cli("josephus", "--n", n, "--q", "7", "--algo", "recurrence")
+    ow = run_cli("josephus", "--n", n, "--q", "7", "--algo", "ow")
+    assert rec.returncode == ow.returncode == 0
+    survivor = ow.stdout.split("survivor=")[1].split()[0]
+    assert rec.stdout == f"n={n} q=7 survivor={survivor} [recurrence]\n"
+    every = run_cli("josephus", "--n", n, "--q", "7", "--algo", "all")
+    assert every.returncode == 3
+    assert "--sim-cap" in every.stderr
+
+
 def test_raising_the_caps_unlocks_the_run():
     proc = run_cli(
         "josephus", "--n", "2000000", "--q", "2", "--algo", "simulation",
@@ -338,6 +359,46 @@ def test_exit_resource_when_precision_falls_short():
     proc = run_cli("verify", "relation", "--terms", "50", "--min-places", "24")
     assert proc.returncode == 3
     assert "--terms" in proc.stderr
+
+
+def test_reproduce_refuses_too_few_terms():
+    proc = run_cli("reproduce", "--fast-only", "--terms", "60")
+    assert proc.returncode == 3
+    assert "--terms" in proc.stderr
+    assert proc.stdout == ""
+    proc, payload = envelope("reproduce", "--fast-only", "--terms", "60")
+    assert proc.returncode == 3
+    top = dict(payload)
+    assert top["status"] == "error"
+    assert dict(top["result"])["error"] == "InsufficientPrecision"
+
+
+@pytest.mark.parametrize("terms, relation_places, named", [
+    ("140", 24, "growth constant"),  # c short of 26 places, the relation at its 24
+    ("160", 30, "relation"),  # c at 28 places, the relation short of a raised 30
+])
+def test_reproduce_refuses_each_shortfall(monkeypatch, capsys, terms, relation_places, named):
+    from divgap import cli
+
+    monkeypatch.setattr(cli, "RELATION_PLACES", relation_places)
+    assert cli.run(["reproduce", "--fast-only", "--terms", terms]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "--terms" in captured.err
+
+
+@pytest.mark.parametrize("reference, terms", [
+    ("0.36050455619661495910154467", "200"),  # wrong in the 26th place
+    ("0.37050455619661495910154466", "60"),  # wrong in a place 60 terms certify
+])
+def test_reproduce_fails_on_a_disagreeing_prefix(monkeypatch, capsys, reference, terms):
+    from divgap import cli
+
+    monkeypatch.setattr(cli, "C_REFERENCE_26", reference)
+    assert cli.run(["reproduce", "--fast-only", "--terms", terms]) == 4
+    row = capsys.readouterr().out.splitlines()[-3]
+    assert row.startswith("growth constant to 26 places")
+    assert row.endswith("FAIL")
 
 
 def test_reproduce_default_passes():

@@ -3,13 +3,15 @@
 The rotation referee below is a fourth, deliberately dumb implementation
 kept separate from the package: it rotates a deque q-1 steps and pops.
 All three library algorithms must match it, and each other, everywhere.
+The naive fold is the recurrence one step at a time, the reference for the
+library's batched fold.
 """
 
 from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divgap.errors import SimulationCapExceeded
@@ -31,6 +33,14 @@ def rotation_referee(n, q):
         circle.rotate(-(q - 1))
         circle.popleft()
     return circle[0]
+
+
+def naive_fold(n, q):
+    """Survivor by pos <- (pos + q) mod m for every m = 2..n, unbatched."""
+    pos = 0
+    for m in range(2, n + 1):
+        pos = (pos + q) % m
+    return pos + 1
 
 
 # --- frozen single values ---
@@ -75,6 +85,21 @@ def test_three_way_agreement(n, q):
     b = survivor_simulation(n, q).survivor
     c = survivor_via_ow(n, q).survivor
     assert a == b == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=2, max_value=50))
+@example(49, 50)  # q >= n: every step wraps
+@example(3000, 2)  # q = 2 batches the most
+def test_batched_recurrence_matches_naive_fold(n, q):
+    assert survivor_recurrence(n, q).survivor == naive_fold(n, q)
+
+
+@pytest.mark.parametrize("exponent", [18, 100, 300])
+@pytest.mark.parametrize("q", range(2, 8))
+def test_recurrence_matches_ow_at_huge_n(exponent, q):
+    n = 10**exponent
+    assert survivor_recurrence(n, q).survivor == survivor_via_ow(n, q).survivor
 
 
 def test_q2_closed_form():
