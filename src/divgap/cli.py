@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["a", "b"])
     p.add_argument("--max", type=int, required=True, help="last index to compute")
     p.add_argument("--path", choices=list(A_PATHS), default="factored")
-    p.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
     p.add_argument("--digit-limit", type=_positive_int, default=DIGIT_PRINT_LIMIT,
                    help="largest decimal rendering to attempt per term")
     p.set_defaults(handler=_cmd_seq)
@@ -481,21 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--above", type=int, default=None,
                    help="restrict to gaps strictly above this threshold")
-    p.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
     p.set_defaults(handler=_cmd_delta)
 
     p = sub.add_parser("divisors", parents=[common], help="divisors of an integer")
     p.add_argument("m", type=int)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
-    p.add_argument("--divisor-cap", type=int, default=DIVISOR_CAP)
+    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
+    p.add_argument("--divisor-cap", type=_positive_int, default=DIVISOR_CAP)
     p.set_defaults(handler=_cmd_divisors)
 
     p = sub.add_parser("theorem", parents=[common],
                        help="check gap term = 2^b(n) over a range")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--path", choices=list(A_PATHS), default="factored")
-    p.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
     p.set_defaults(handler=_cmd_theorem)
 
     p = sub.add_parser("lemma", parents=[common], help="check a 3*2^k divisor law")
@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="cross-checks between components")
     p.add_argument("target", choices=["relation"])
     p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
-    p.add_argument("--min-places", type=int, default=RELATION_PLACES)
+    p.add_argument("--min-places", type=_positive_int, default=RELATION_PLACES)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("reproduce", parents=[common],

@@ -9,7 +9,9 @@ test obligation, not an assumption.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import SimulationCapExceeded
 
@@ -72,10 +74,16 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
 def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP) -> SurvivorResult:
     """Eliminate the explicit circle until one person remains.
 
-    One pass around the circle removes every q-th survivor in a single slice
-    deletion; the carry tracks counts that spill into the next pass. This is
-    the same elimination order as removing people one at a time, just
-    processed lap by lap.
+    The circle is two flat C arrays: with w = isqrt(n - 1) + 1, person
+    b*w + r + 1 is the pair (hi[i], lo[i]) = (b, r). Both columns are built
+    by repeating one block at C speed, so no int object is made per person,
+    and a removal deletes the same index from both.
+
+    One lap around the circle removes every q-th survivor in a single slice
+    deletion from each column; the carry tracks counts that spill into the
+    next lap. When q exceeds the circle, the laps in which nobody reaches the
+    count are skipped by one divmod. This is the same elimination order as
+    removing people one at a time, just processed lap by lap.
     """
     _validate(n, q)
     if n > simulation_cap:
@@ -83,15 +91,20 @@ def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP)
             f"n={n} exceeds the simulation cap {simulation_cap}; "
             "raise it with --sim-cap or use the recurrence"
         )
-    seg = list(range(1, n + 1))
-    carry = 0
-    while len(seg) > 1:
-        size = len(seg)
-        first = (q - 1 - carry) % q
-        if first < size:
-            del seg[first::q]
-        carry = (carry + size) % q
-    return SurvivorResult(n, q, seg[0], "simulation")
+    w = isqrt(n - 1) + 1
+    blocks = -(-n // w)
+    lo = array("I", range(w)) * blocks
+    hi = array("I")
+    for b in range(blocks):
+        hi += array("I", [b]) * w
+    del lo[n:], hi[n:]
+    carry, size = 0, n
+    while size > 1:
+        empty, first = divmod((q - 1 - carry) % q, size)
+        del lo[first::q], hi[first::q]
+        carry = (carry + (empty + 1) * size) % q
+        size = len(lo)
+    return SurvivorResult(n, q, hi[0] * w + lo[0] + 1, "simulation")
 
 
 def ow_sequence(q: int, seed: int, count: int) -> CeilingIteration:

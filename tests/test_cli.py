@@ -328,6 +328,21 @@ def test_sim_cap_must_be_positive():
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("divisors", "48", "--divisor-cap", "0"), "--divisor-cap"),
+    (("divisors", "48", "--oracle-bound", "0"), "--oracle-bound"),
+    (("delta", "48", "--oracle-bound", "-1"), "--oracle-bound"),
+    (("seq", "a", "--max", "3", "--oracle-bound", "abc"), "--oracle-bound"),
+    (("theorem", "--max", "3", "--oracle-bound", "0"), "--oracle-bound"),
+    (("verify", "relation", "--min-places", "-5"), "--min-places"),
+])
+def test_count_flags_must_be_positive(argv, flag):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_recurrence_reaches_huge_n():
     n = str(10**300)
     rec = run_cli("josephus", "--n", n, "--q", "7", "--algo", "recurrence")

@@ -7,6 +7,7 @@ The naive fold is the recurrence one step at a time, the reference for the
 library's batched fold.
 """
 
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -100,6 +101,43 @@ def test_batched_recurrence_matches_naive_fold(n, q):
 def test_recurrence_matches_ow_at_huge_n(exponent, q):
     n = 10**exponent
     assert survivor_recurrence(n, q).survivor == survivor_via_ow(n, q).survivor
+
+
+@pytest.mark.parametrize("n", [999**2 - 1, 999**2, 999**2 + 1, 1000**2 - 1, 1000**2, 1000**2 + 1])
+def test_simulation_q2_closed_form_at_block_edges(n):
+    # the circle is stored in blocks of w = isqrt(n - 1) + 1 people; n next to
+    # a square moves w and leaves the last block one short, full, or nearly empty
+    m = n.bit_length() - 1
+    L = n - (1 << m)
+    assert survivor_simulation(n, 2, simulation_cap=n).survivor == 2 * L + 1
+
+
+@pytest.mark.parametrize("q", range(3, 8))
+def test_simulation_at_a_million(q):
+    got = survivor_simulation(10**6, q).survivor
+    assert got == survivor_recurrence(10**6, q).survivor
+    assert got == survivor_via_ow(10**6, q).survivor
+
+
+@pytest.mark.parametrize("q_of", [
+    lambda n: n, lambda n: n + 1, lambda n: 2 * n + 3, lambda n: 10**12,
+], ids=["n", "n+1", "2n+3", "1e12"])
+def test_simulation_skips_empty_laps(q_of):
+    # q at least the circle size leaves whole laps in which nobody is counted out
+    for n in range(1, 120):
+        q = max(q_of(n), 2)
+        assert survivor_simulation(n, q).survivor == rotation_referee(n, q)
+
+
+def test_simulation_memory_at_a_million():
+    # one int object per person would take about 42 MB here
+    tracemalloc.start()
+    try:
+        survivor_simulation(10**6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_q2_closed_form():
