@@ -109,6 +109,12 @@ def test_seq_digit_limit_must_be_positive():
         (("constants", "k3"), "--digits"),
         (("verify", "relation"), "--terms"),
         (("reproduce", "--fast-only"), "--terms"),
+        (("divisors", "48"), "--divisor-cap"),
+        (("divisors", "48"), "--oracle-bound"),
+        (("delta", "48"), "--oracle-bound"),
+        (("seq", "a", "--max", "3"), "--oracle-bound"),
+        (("theorem", "--max", "3"), "--oracle-bound"),
+        (("verify", "relation"), "--min-places"),
     ],
 )
 def test_term_and_place_counts_must_be_positive(args, flag):
@@ -326,21 +332,6 @@ def test_sim_cap_must_be_positive():
         assert "--sim-cap" in proc.stderr
         assert "_positive_int" not in proc.stderr
         assert proc.stdout == ""
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (("divisors", "48", "--divisor-cap", "0"), "--divisor-cap"),
-    (("divisors", "48", "--oracle-bound", "0"), "--oracle-bound"),
-    (("delta", "48", "--oracle-bound", "-1"), "--oracle-bound"),
-    (("seq", "a", "--max", "3", "--oracle-bound", "abc"), "--oracle-bound"),
-    (("theorem", "--max", "3", "--oracle-bound", "0"), "--oracle-bound"),
-    (("verify", "relation", "--min-places", "-5"), "--min-places"),
-])
-def test_count_flags_must_be_positive(argv, flag):
-    proc = run_cli(*argv)
-    assert proc.returncode == 2
-    assert flag in proc.stderr
-    assert proc.stdout == ""
 
 
 def test_recurrence_reaches_huge_n():

@@ -4,20 +4,22 @@ Usage, from the repository root:
 
     python3 tools/bench_pair.py pairs --parent DIR --change DIR \\
         --workload survivors --seeds 11 12 13 14 15 16 17 18 19 20 \\
-        --seconds 25 --out BENCH_6.json
+        --out BENCH_6.json
     python3 tools/bench_pair.py sweep --parent DIR --change DIR \\
         --function divgap.josephus.survivor_simulation \\
         --grid n=1000,10000,100000,1000000 --grid q=2,3,4,5,6,7 \\
-        --rounds 5 --out BENCH_6.json
+        --out BENCH_6.json
 
 DIR is a checkout of the tree to measure (for example a `git archive` of
 one commit). `pairs` runs `divbench/run.py --trace 0` once per seed on each
-tree, alternating which tree runs first, and records every run's end-to-end
-metrics with each side's median, quartiles and the change's win count.
-`sweep` times one library function of each tree in fresh interpreters over
-a grid of keyword arguments, alternating trees round by round, and records
-median seconds and the tracemalloc peak per grid point. Both merge their
-section into --out and copy `divbench/machine.json` from the change tree.
+tree for the `run_seconds` that BENCHMARK.json sets, alternating which tree
+runs first, and records every run's end-to-end metrics with each side's
+median, quartiles and the change's win count. `sweep` times one library
+function of each tree in fresh interpreters over a grid of keyword
+arguments, SWEEP_ROUNDS rounds of SWEEP_CALLS timed calls per point,
+alternating trees round by round, and records median seconds and the
+tracemalloc peak per grid point. Both merge their section into --out and
+copy `divbench/machine.json` from the change tree.
 Only the standard library is used.
 """
 
@@ -35,6 +37,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 RUN_GRACE_S = 600
+SWEEP_ROUNDS = 5  # fresh interpreters per tree, alternating which goes first
+SWEEP_CALLS = 5  # timed calls per grid point per round
 
 # Runs in a fresh interpreter with the tree's src/ first on sys.path; argv is
 # the function's dotted name, the JSON list of keyword dicts, and the number
@@ -93,11 +97,12 @@ def _bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 def cmd_pairs(args, trees: dict[str, Path]) -> dict:
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            run = _bench_run(trees[side], args.workload, seed, args.seconds)
+            run = _bench_run(trees[side], args.workload, seed, seconds)
             run["order"] = order.index(side)
             runs[side].append(run)
             print(f"pair {i + 1}/{len(args.seeds)} seed={seed} {side}: "
@@ -106,7 +111,7 @@ def cmd_pairs(args, trees: dict[str, Path]) -> dict:
         name: summarize({side: [r["metrics"][name] for r in runs[side]] for side in SIDES}, how)
         for name, how in better.items()
     }
-    return {"workload": args.workload, "seconds": args.seconds, "seeds": args.seeds,
+    return {"workload": args.workload, "seconds": seconds, "seeds": args.seeds,
             "metrics": metrics, "runs": runs}
 
 
@@ -121,11 +126,11 @@ def _grid(specs: list[str]) -> list[dict]:
 def cmd_sweep(args, trees: dict[str, Path]) -> dict:
     points = _grid(args.grid)
     rounds = {side: [] for side in SIDES}
-    for r in range(args.rounds):
+    for r in range(SWEEP_ROUNDS):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
             proc = subprocess.run(
                 [sys.executable, "-c", SWEEP_CHILD, args.function, json.dumps(points),
-                 str(args.calls)],
+                 str(SWEEP_CALLS)],
                 env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
                 capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
             rounds[side].append(json.loads(proc.stdout))
@@ -139,7 +144,7 @@ def cmd_sweep(args, trees: dict[str, Path]) -> dict:
             }
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
         rows.append(row)
-    return {"function": args.function, "rounds": args.rounds, "calls_per_round": args.calls,
+    return {"function": args.function, "rounds": SWEEP_ROUNDS, "calls_per_round": SWEEP_CALLS,
             "points": rows}
 
 
@@ -154,14 +159,13 @@ def main(argv=None) -> int:
     p = sub.choices["pairs"]
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
-    p.add_argument("--seconds", type=int, default=25)
     p = sub.choices["sweep"]
     p.add_argument("--function", required=True, help="dotted name, e.g. divgap.josephus.f")
     p.add_argument("--grid", action="append", required=True, help="name=v1,v2,... (ints)")
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--calls", type=int, default=5, help="timed calls per point per round")
     args = ap.parse_args(argv)
 
+    if args.command == "pairs" and len(args.seeds) < 2:
+        ap.error("--seeds needs at least two seeds to give quartiles")
     trees = {side: getattr(args, side).resolve() for side in SIDES}
     for side, tree in trees.items():
         if not (tree / "divbench" / "run.py").is_file():
