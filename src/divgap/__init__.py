@@ -11,7 +11,6 @@ from .constants import (
     RelationReport,
     c_digits,
     c_enclosure,
-    k3_digits,
     k3_enclosure,
     relation_check,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "divisor_list_factored",
     "factorize",
     "gap_factorization",
-    "k3_digits",
     "k3_enclosure",
     "middle_pair_3x2k",
     "ow_sequence",

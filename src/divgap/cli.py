@@ -544,6 +544,14 @@ def _emit_failure(args, exc: Exception, status: str, code: int) -> int:
 
 def run(argv=None) -> int:
     """Parse argv, execute, print, and return the exit code."""
+    # integer arguments parse through int() and certified digits render
+    # through int formatting, so the interpreter's own conversion guard must
+    # not undercut either; raised before parsing, a long argument reaches the
+    # documented refusals instead of an argparse echo of every digit. seq
+    # terms render through decimal_str and never reach the guard
+    wanted = DIGIT_PRINT_LIMIT + 100
+    if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
+        sys.set_int_max_str_digits(wanted)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -551,12 +559,6 @@ def run(argv=None) -> int:
         if exc.code in (0, None):
             return EXIT_OK
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # certified digits render through int formatting, so the interpreter's
-    # own conversion guard must not undercut them; seq terms render through
-    # decimal_str and never reach the guard
-    wanted = DIGIT_PRINT_LIMIT + 100
-    if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
-        sys.set_int_max_str_digits(wanted)
     if getattr(args, "bfile", False) and args.command != "seq":
         print("error: --bfile applies only to seq", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit
+from .errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit, brief
 from .report import CheckRecord, VerificationReport
 
 # Trial division stays interactive up to here (isqrt(1e14) = 1e7 probes).
@@ -127,7 +127,7 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
             found[p] = e
     if rest > oracle_bound:
         raise OracleBoundExceeded(
-            f"unfactored part {rest} of m exceeds the trial-division bound {oracle_bound}; "
+            f"unfactored part {brief(rest)} of m exceeds the trial-division bound {oracle_bound}; "
             "raise it with --oracle-bound or supply a Factorization"
         )
     p = 2
@@ -150,7 +150,7 @@ def divisor_list(m: int, *, oracle_bound: int = ORACLE_BOUND) -> list[int]:
         raise ValueError(f"m must be positive, got {m}")
     if m > oracle_bound:
         raise OracleBoundExceeded(
-            f"m={m} exceeds the trial-division bound {oracle_bound}; "
+            f"m={brief(m)} exceeds the trial-division bound {oracle_bound}; "
             "raise it with --oracle-bound or use divisor_list_factored"
         )
     small, large = [], []
@@ -197,7 +197,7 @@ def divisor_count(f: Factorization) -> int:
 def _oracle_min_pair(m: int, threshold: int | None, oracle_bound: int) -> DivisorPair:
     if m > oracle_bound:
         raise OracleBoundExceeded(
-            f"m={m} exceeds the trial-division bound {oracle_bound}; "
+            f"m={brief(m)} exceeds the trial-division bound {oracle_bound}; "
             "raise it with --oracle-bound or pass a Factorization"
         )
     # The gap m/d - d shrinks as d grows, so the last qualifying d wins.

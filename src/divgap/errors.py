@@ -3,6 +3,14 @@
 EXIT_RESOURCE = 3
 EXIT_FINDING = 4
 
+# integers longer than this are named by their size in messages, not echoed
+ECHO_BITS = 256
+
+
+def brief(x: int) -> str:
+    """x in decimal for a message, or its bit length when it is too long to echo."""
+    return str(x) if x.bit_length() <= ECHO_BITS else f"<{x.bit_length()}-bit integer>"
+
 
 class DivgapError(Exception):
     """Base class for every library-specific error.

@@ -7,6 +7,7 @@ agrees on it, so every printed digit is a proof, not an estimate.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,34 +65,39 @@ class DigitCertificate:
     certified_places: int
 
 
-def _truncate(x: Fraction, places: int) -> int:
-    return (x.numerator * 10**places) // x.denominator
-
-
 def render_digits(iv: RationalInterval, max_places: int) -> DigitCertificate:
     """Longest common truncated-decimal prefix of the interval, capped.
 
     Pure integer arithmetic: place d is certified when floor(lo * 10^d) and
-    floor(hi * 10^d) coincide. Agreement is monotone in d, so the maximal
-    certified depth is found by binary search. Zero certified places is a
-    valid result for wide intervals.
+    floor(hi * 10^d) coincide. That forces hi - lo < 10^-d, so the width
+    bounds the certified depth: both endpoints are truncated once at a depth
+    no certified place lies beyond (at most max_places), and the certificate
+    is the common prefix of the two zero-filled digit strings, since
+    truncating deeper and cutting digits off is the same as truncating
+    shallower. Zero certified places is a valid result for wide intervals.
     """
     if max_places < 1:
         raise ValueError(f"max_places must be at least 1, got {max_places}")
-    if iv.lo < 0:
+    lo, hi = iv.lo, iv.hi
+    if lo < 0:
         raise ValueError("render_digits requires a nonnegative interval")
-    if _truncate(iv.lo, 0) != _truncate(iv.hi, 0):
+    gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    depth = max_places
+    if gap:
+        # hi - lo = gap / scale, so d places agree only if gap * 10^d < scale;
+        # scale / gap < 2^(bits + 1) and 0.30103 > log10(2), so no place
+        # beyond this depth agrees
+        scale = lo.denominator * hi.denominator
+        bits = scale.bit_length() - gap.bit_length()
+        depth = min(max_places, max(0, (bits + 1) * 30103 // 100000))
+    unit = 10**depth
+    whole, frac_lo = divmod(lo.numerator * unit // lo.denominator, unit)
+    whole_hi, frac_hi = divmod(hi.numerator * unit // hi.denominator, unit)
+    if whole != whole_hi:
         return DigitCertificate("", 0)
-    lo_d, hi_d = 0, max_places
-    while lo_d < hi_d:
-        mid = (lo_d + hi_d + 1) // 2
-        if _truncate(iv.lo, mid) == _truncate(iv.hi, mid):
-            lo_d = mid
-        else:
-            hi_d = mid - 1
-    places = lo_d
-    whole = _truncate(iv.lo, 0)
-    if places == 0:
+    # a zero-width format field would still print one digit
+    digits = (os.path.commonprefix([f"{frac_lo:0{depth}d}", f"{frac_hi:0{depth}d}"])
+              if depth else "")
+    if not digits:
         return DigitCertificate(str(whole), 0)
-    tail = _truncate(iv.lo, places) - whole * 10**places
-    return DigitCertificate(f"{whole}.{tail:0{places}d}", places)
+    return DigitCertificate(f"{whole}.{digits}", len(digits))

@@ -13,9 +13,12 @@ from array import array
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import SimulationCapExceeded
+from .errors import ResourceLimit, SimulationCapExceeded
 
 SIMULATION_CAP = 10**6
+# most iterations survivor_via_ow may be predicted to take; a million steps
+# on machine-size terms take about 0.1 s
+OW_STEP_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,20 @@ def survivor_via_ow(n: int, q: int) -> SurvivorResult:
     Iterate x -> ceil(q*x / (q-1)) from 1 until the term exceeds (q-1)*n;
     the survivor is q*n + 1 minus that term. The first such term never
     overshoots q*n, so the result always lands in 1..n.
+
+    Each step multiplies the term by at least q/(q-1), and ln(q/(q-1)) >= 1/q,
+    so reaching (q-1)*n takes at most q*ln((q-1)*n) + 1 steps; q times the
+    bit length of (q-1)*n bounds that without floats, and a bound above
+    OW_STEP_LIMIT is refused before the first step.
     """
     _validate(n, q)
     bound = (q - 1) * n
+    predicted = q * bound.bit_length()
+    if predicted > OW_STEP_LIMIT:
+        raise ResourceLimit(
+            f"the ceiling iteration would take up to {predicted} steps at q={q}, "
+            f"above the limit {OW_STEP_LIMIT}; use --algo recurrence"
+        )
     term = 1
     while term <= bound:
         term = (q * term + q - 2) // (q - 1)

@@ -32,3 +32,14 @@ def test_ties_count_for_neither_side():
 def test_grid_is_the_product_of_its_axes():
     assert bench_pair._grid(["n=1,10", "q=2,3"]) == [
         {"n": 1, "q": 2}, {"n": 1, "q": 3}, {"n": 10, "q": 2}, {"n": 10, "q": 3}]
+
+
+def test_build_specs_name_a_maker_and_a_grid_axis():
+    assert bench_pair._builds(["iv=divgap.constants.k3_enclosure:max_places"]) == {
+        "iv": ["divgap.constants.k3_enclosure", "max_places"]}
+    # the maker's argument must be a grid axis; refused before any tree is read
+    with pytest.raises(SystemExit):
+        bench_pair.main([
+            "sweep", "--parent", ".", "--change", ".", "--out", "unused.json",
+            "--function", "divgap.intervals.render_digits", "--grid", "max_places=10",
+            "--build", "iv=divgap.constants.k3_enclosure:n_terms"])

@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -344,6 +345,38 @@ def test_recurrence_reaches_huge_n():
     every = run_cli("josephus", "--n", n, "--q", "7", "--algo", "all")
     assert every.returncode == 3
     assert "--sim-cap" in every.stderr
+
+
+@pytest.mark.parametrize("algo", ["ow", "all"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_ow_refuses_a_huge_q_at_once(algo, json_flag, capsys):
+    from divgap.cli import run
+
+    start = time.perf_counter()
+    code = run(["josephus", "--n", "1000", "--q", str(10**12), "--algo", algo, *json_flag])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 0.25
+    assert "--algo recurrence" in err
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top["status"] == "error"
+        assert dict(top["result"])["error"] == "ResourceLimit"
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", ["delta", "divisors"])
+def test_a_long_argument_is_refused_without_echoing_it(command):
+    m = "7" * 5000
+    proc = run_cli(command, m)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "--oracle-bound" in proc.stderr
+    assert "16610-bit" in proc.stderr
+    assert "7" * 100 not in proc.stderr
+    assert len(proc.stderr) < 300
 
 
 def test_raising_the_caps_unlocks_the_run():

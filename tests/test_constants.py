@@ -3,12 +3,16 @@
 The digit strings pinned below were frozen from an independent scan of the
 growth constraints with Fraction arithmetic, written before this module,
 and are compared as literal text; nothing here is allowed to round.
+The bisection renderer below searches the certified depth two truncations
+per probe, the reference for the library's one-truncation renderer;
+ow_sequence steps the K3 iteration one term at a time, the reference for
+the library's eight-step jumps.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divgap.cli
@@ -17,14 +21,15 @@ from divgap.constants import (
     DEFAULT_TERMS,
     K3_SCALE,
     _intersect_growth_constraints,
+    _iterate_q3,
     c_digits,
     c_enclosure,
-    k3_digits,
     k3_enclosure,
     relation_check,
 )
 from divgap.errors import EmptyIntersection
 from divgap.intervals import DigitCertificate, RationalInterval, render_digits
+from divgap.josephus import ow_sequence
 from divgap.sequences import b_seq
 
 # 34 certified places of the growth constant from the 200-term enclosure
@@ -133,6 +138,73 @@ def test_render_digits_is_a_common_truncation_prefix(x, y, places):
         ) // hi.denominator
 
 
+def _truncate(x: Fraction, places: int) -> int:
+    return (x.numerator * 10**places) // x.denominator
+
+
+def bisect_render(iv: RationalInterval, max_places: int) -> DigitCertificate:
+    """Reference: the certified depth by binary search, two truncations per probe."""
+    if _truncate(iv.lo, 0) != _truncate(iv.hi, 0):
+        return DigitCertificate("", 0)
+    lo_d, hi_d = 0, max_places
+    while lo_d < hi_d:
+        mid = (lo_d + hi_d + 1) // 2
+        if _truncate(iv.lo, mid) == _truncate(iv.hi, mid):
+            lo_d = mid
+        else:
+            hi_d = mid - 1
+    places = lo_d
+    whole = _truncate(iv.lo, 0)
+    if places == 0:
+        return DigitCertificate(str(whole), 0)
+    tail = _truncate(iv.lo, places) - whole * 10**places
+    return DigitCertificate(f"{whole}.{tail:0{places}d}", places)
+
+
+# endpoints: a nonnegative rational, or a decimal with up to 30 places, so
+# some sit exactly on a decimal boundary; small numerators give zero integer
+# parts
+_endpoint = st.one_of(
+    st.fractions(min_value=0, max_value=1000),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+    st.builds(lambda k, p: Fraction(k, 10**p),
+              st.integers(min_value=0, max_value=10**35), st.integers(min_value=0, max_value=30)),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_endpoint, _endpoint, st.integers(min_value=1, max_value=30), st.booleans())
+@example(Fraction(1, 3), Fraction(1, 3), 30, False)
+@example(Fraction(0), Fraction(0), 1, False)
+@example(Fraction(1, 10), Fraction(1, 10), 1, False)
+@example(Fraction(1, 10), Fraction(2, 10), 1, False)
+@example(Fraction(99, 100), Fraction(1), 5, False)
+@example(Fraction(0), Fraction(1, 10**30), 30, False)
+@example(Fraction(123456, 10**6), Fraction(123457, 10**6), 30, False)
+def test_render_digits_matches_the_bisection_reference(x, y, cap, point):
+    lo, hi = min(x, y), max(x, y)
+    iv = RationalInterval(lo, lo if point else hi)
+    assert render_digits(iv, cap) == bisect_render(iv, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5000))
+@example(1)
+@example(2)
+@example(7)
+@example(8)
+@example(9)
+@example(200)
+@example(1000)
+@example(4321)
+@example(5000)
+def test_render_digits_matches_the_reference_on_the_enclosures(n):
+    c_iv = c_enclosure(n)
+    scaled = k3_enclosure(n).scale(K3_SCALE)
+    for iv in (c_iv, k3_enclosure(n), c_iv.hull(scaled)):
+        assert render_digits(iv, n) == bisect_render(iv, n)
+
+
 # --- the growth-constant enclosure ---
 
 
@@ -228,7 +300,7 @@ def test_shifted_term_raises_like_the_fraction_reference(data):
 
 
 def test_k3_enclosure_digits():
-    cert = k3_digits(200)
+    cert = render_digits(k3_enclosure(200), 200)
     assert cert.decimal_prefix.startswith(K3_PREFIX)
     assert cert.certified_places >= 30
 
@@ -248,13 +320,31 @@ def test_k3_enclosure_nesting():
 
 
 def test_k3_seed_choice_is_the_shifted_seed1_iteration():
-    from divgap.josephus import ow_sequence
-
     # the seed-1 iterate one index later gives the same enclosure endpoints
     n = 50
     e_seed1 = ow_sequence(3, 1, n + 1).terms[-1]
     iv = k3_enclosure(n)
     assert iv.lo == e_seed1 * Fraction(2, 3) ** n
+
+
+@pytest.mark.parametrize("count", range(1, 65))
+def test_jumped_iterate_matches_ow_sequence_at_every_short_count(count):
+    # counts 1..64 cover every tail of 0..7 single steps after 0..7 jumps
+    for seed in (1, 2, 3, 255, 256, 257):
+        assert _iterate_q3(seed, count) == ow_sequence(3, seed, count).terms[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=3000))
+def test_jumped_iterate_matches_ow_sequence(seed, count):
+    assert _iterate_q3(seed, count) == ow_sequence(3, seed, count).terms[-1]
+
+
+def test_k3_enclosure_is_the_stepwise_enclosure():
+    for n in (1, 2, 7, 8, 9, 200, 1000):
+        e = ow_sequence(3, 2, n).terms[-1]
+        scale = Fraction(2, 3) ** n
+        assert k3_enclosure(n) == RationalInterval(e * scale, (e + 2) * scale)
 
 
 # --- the relation between the two constants ---
@@ -285,6 +375,12 @@ def test_relation_at_5000_terms():
     rep = relation_check(5000)
     assert rep.overlap
     assert rep.agreeing_places >= 870
+
+
+def test_relation_at_20000_terms():
+    rep = relation_check(20000)
+    assert rep.overlap
+    assert rep.agreeing_places >= 3500
 
 
 def test_relation_agreement_grows_with_terms():

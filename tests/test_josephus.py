@@ -7,6 +7,7 @@ The naive fold is the recurrence one step at a time, the reference for the
 library's batched fold.
 """
 
+import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divgap.errors import SimulationCapExceeded
+from divgap.errors import ResourceLimit, SimulationCapExceeded
 from divgap.josephus import (
+    OW_STEP_LIMIT,
     SIMULATION_CAP,
     CeilingIteration,
     SurvivorResult,
@@ -162,6 +164,25 @@ def test_simulation_cap():
     with pytest.raises(SimulationCapExceeded):
         survivor_simulation(1000, 3, simulation_cap=999)
     assert SIMULATION_CAP == 10**6
+
+
+def test_ow_refuses_a_step_count_above_the_limit():
+    # q * bit_length((q - 1) * n) is 40000 * 25, exactly the limit, at n = 500
+    assert OW_STEP_LIMIT == 10**6
+    assert survivor_via_ow(500, 40000).survivor == survivor_recurrence(500, 40000).survivor
+    with pytest.raises(ResourceLimit):
+        survivor_via_ow(500, 40001)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="--algo recurrence"):
+        survivor_via_ow(1000, 10**12)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_ow_limit_admits_the_largest_benchmarked_games():
+    # the survivors benchmark runs --algo ow at q <= 7 and n < 10^303
+    n = 10**303 - 1
+    assert 7 * (6 * n).bit_length() < 10**4 < OW_STEP_LIMIT
+    assert survivor_via_ow(n, 7).survivor == survivor_recurrence(n, 7).survivor
 
 
 def test_algorithm_labels():

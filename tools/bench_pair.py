@@ -9,6 +9,9 @@ Usage, from the repository root:
         --function divgap.josephus.survivor_simulation \\
         --grid n=1000,10000,100000,1000000 --grid q=2,3,4,5,6,7 \\
         --out BENCH_6.json
+    python3 tools/bench_pair.py sweep --parent DIR --change DIR \\
+        --function divgap.intervals.render_digits --grid max_places=1000,10000 \\
+        --build iv=divgap.constants.k3_enclosure:max_places --out BENCH_7.json
 
 DIR is a checkout of the tree to measure (for example a `git archive` of
 one commit). `pairs` runs `divbench/run.py --trace 0` once per seed on each
@@ -18,8 +21,11 @@ median, quartiles and the change's win count. `sweep` times one library
 function of each tree in fresh interpreters over a grid of keyword
 arguments, SWEEP_ROUNDS rounds of SWEEP_CALLS timed calls per point,
 alternating trees round by round, and records median seconds and the
-tracemalloc peak per grid point. Both merge their section into --out and
-copy `divbench/machine.json` from the change tree.
+tracemalloc peak per grid point. `--build NAME=MAKER:KEY` passes the
+function a keyword NAME made, untimed, by the tree's own MAKER from the
+point's KEY value, for functions whose arguments are not integers. Both
+merge their section into --out and copy `divbench/machine.json` from the
+change tree.
 Only the standard library is used.
 """
 
@@ -41,15 +47,18 @@ SWEEP_ROUNDS = 5  # fresh interpreters per tree, alternating which goes first
 SWEEP_CALLS = 5  # timed calls per grid point per round
 
 # Runs in a fresh interpreter with the tree's src/ first on sys.path; argv is
-# the function's dotted name, the JSON list of keyword dicts, and the number
-# of timed calls per point.
+# the function's dotted name, the JSON list of keyword dicts, the number of
+# timed calls per point, and the JSON map of built keywords to [maker, key].
 SWEEP_CHILD = r"""
 import importlib, json, sys, time, tracemalloc
-module, name = sys.argv[1].rsplit(".", 1)
-fn = getattr(importlib.import_module(module), name)
-points, calls = json.loads(sys.argv[2]), int(sys.argv[3])
+def resolve(dotted):
+    module, name = dotted.rsplit(".", 1)
+    return getattr(importlib.import_module(module), name)
+fn = resolve(sys.argv[1])
+points, calls, builds = json.loads(sys.argv[2]), int(sys.argv[3]), json.loads(sys.argv[4])
 out = []
-for kwargs in points:
+for point in points:
+    kwargs = {**point, **{arg: resolve(maker)(point[key]) for arg, (maker, key) in builds.items()}}
     fn(**kwargs)
     times = []
     for _ in range(calls):
@@ -123,14 +132,24 @@ def _grid(specs: list[str]) -> list[dict]:
     return [dict(point) for point in itertools.product(*axes)]
 
 
+def _builds(specs: list[str]) -> dict[str, list[str]]:
+    out = {}
+    for spec in specs:
+        name, _, rest = spec.partition("=")
+        maker, _, key = rest.rpartition(":")
+        out[name] = [maker, key]
+    return out
+
+
 def cmd_sweep(args, trees: dict[str, Path]) -> dict:
     points = _grid(args.grid)
+    builds = _builds(args.build)
     rounds = {side: [] for side in SIDES}
     for r in range(SWEEP_ROUNDS):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
             proc = subprocess.run(
                 [sys.executable, "-c", SWEEP_CHILD, args.function, json.dumps(points),
-                 str(SWEEP_CALLS)],
+                 str(SWEEP_CALLS), json.dumps(builds)],
                 env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
                 capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
             rounds[side].append(json.loads(proc.stdout))
@@ -144,8 +163,8 @@ def cmd_sweep(args, trees: dict[str, Path]) -> dict:
             }
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
         rows.append(row)
-    return {"function": args.function, "rounds": SWEEP_ROUNDS, "calls_per_round": SWEEP_CALLS,
-            "points": rows}
+    return {"function": args.function, "built": builds, "rounds": SWEEP_ROUNDS,
+            "calls_per_round": SWEEP_CALLS, "points": rows}
 
 
 def main(argv=None) -> int:
@@ -162,10 +181,17 @@ def main(argv=None) -> int:
     p = sub.choices["sweep"]
     p.add_argument("--function", required=True, help="dotted name, e.g. divgap.josephus.f")
     p.add_argument("--grid", action="append", required=True, help="name=v1,v2,... (ints)")
+    p.add_argument("--build", action="append", default=[],
+                   help="NAME=MAKER:KEY, keyword NAME = MAKER(value of KEY), untimed")
     args = ap.parse_args(argv)
 
     if args.command == "pairs" and len(args.seeds) < 2:
         ap.error("--seeds needs at least two seeds to give quartiles")
+    if args.command == "sweep":
+        axes = {spec.partition("=")[0] for spec in args.grid}
+        for name, (maker, key) in _builds(args.build).items():
+            if not name or "." not in maker or key not in axes:
+                ap.error(f"--build {name}={maker}:{key} needs NAME=MODULE.FUNCTION:GRID_AXIS")
     trees = {side: getattr(args, side).resolve() for side in SIDES}
     for side, tree in trees.items():
         if not (tree / "divbench" / "run.py").is_file():
@@ -174,7 +200,7 @@ def main(argv=None) -> int:
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = json.loads((trees["change"] / "divbench" / "machine.json").read_text())
-    key = args.workload if args.command == "pairs" else args.function
+    key = args.workload if args.command == "pairs" else " ".join([args.function, *args.build])
     doc.setdefault(args.command, {})[key] = section
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
