@@ -9,7 +9,6 @@ mathematically meaningful negative result.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import sys
@@ -37,7 +36,7 @@ from .divisors import (
     middle_pair_3x2k,
 )
 from .errors import EXIT_FINDING, DivgapError, InsufficientPrecision, ResourceLimit
-from .intervals import render_digits
+from .intervals import decimal_str, render_digits
 from .josephus import (
     SIMULATION_CAP,
     survivor_recurrence,
@@ -58,13 +57,6 @@ RELATION_PLACES = 24
 # (2-core Xeon, CPython 3.11); int.__str__ would take about 18 s.
 DIGIT_PRINT_LIMIT = 10**6
 
-# Integers up to this many bits render through int.__str__, which is
-# quadratic in CPython; larger ones are split in halves and rebuilt in
-# libmpdec, whose multiplication is subquadratic. The split size stays far
-# below the interpreter's default 4300-digit conversion guard.
-SPLIT_BITS = 4096
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-
 # namespace entries that select the command or output mode rather than echo
 # a request parameter
 _NOT_PARAMETERS = ("command", "json", "bfile", "handler")
@@ -84,30 +76,6 @@ class Outcome:
     @property
     def exit_code(self) -> int:
         return EXIT_OK if self.ok else EXIT_FINDING
-
-
-def decimal_str(n: int) -> str:
-    """str(n) in subquadratic time, by divide and conquer on the bits."""
-    if n.bit_length() <= SPLIT_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + decimal_str(-n)
-    if n & (n - 1) == 0:
-        # the gap terms: one exact power in libmpdec, no splitting
-        return str(_EXACT.power(2, n.bit_length() - 1))
-    powers: dict[int, decimal.Decimal] = {}
-
-    def build(x: int, bits: int) -> decimal.Decimal:
-        if bits <= SPLIT_BITS:
-            return decimal.Decimal(x)
-        low_bits = bits // 2
-        high = x >> low_bits
-        if low_bits not in powers:
-            powers[low_bits] = _EXACT.power(2, low_bits)
-        scaled = _EXACT.multiply(build(high, bits - low_bits), powers[low_bits])
-        return _EXACT.add(scaled, build(x - (high << low_bits), low_bits))
-
-    return str(build(n, n.bit_length()))
 
 
 def _jsonable(x):
@@ -443,6 +411,30 @@ def _cmd_reproduce(args) -> Outcome:
 # --- parser and entry points ---
 
 
+class UsageError(DivgapError):
+    """The command line does not parse; report is argparse's own text for it."""
+
+    exit_code = EXIT_USAGE
+
+    def __init__(self, message: str, prog: str, report: str):
+        super().__init__(message)
+        self.command = prog.partition(" ")[2] or None
+        self.report = report
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # the report argparse.error prints, raised instead so that run() can
+        # also write the --json envelope
+        raise UsageError(message, self.prog,
+                         f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _json_requested(argv: list[str]) -> bool:
+    """Whether argv asks for --json, by the flag or a prefix argparse accepts."""
+    return any(len(a) > 2 and "--json".startswith(a) for a in argv)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -462,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--bfile", action="store_true",
                      help="emit index/value lines (sequences only)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divgap",
         description="Exact divisor-gap sequences, circle-game survivors, and certified constants.",
     )
@@ -544,21 +536,26 @@ def _emit_failure(args, exc: Exception, status: str, code: int) -> int:
 
 def run(argv=None) -> int:
     """Parse argv, execute, print, and return the exit code."""
-    # integer arguments parse through int() and certified digits render
-    # through int formatting, so the interpreter's own conversion guard must
-    # not undercut either; raised before parsing, a long argument reaches the
-    # documented refusals instead of an argparse echo of every digit. seq
-    # terms render through decimal_str and never reach the guard
+    # integer arguments parse through int() and plain lines format survivors
+    # with str(), so the interpreter's own conversion guard must not undercut
+    # either; raised before parsing, a long argument reaches the documented
+    # refusals instead of an argparse echo of every digit. seq terms and
+    # certified digits render through decimal_str and never reach the guard
     wanted = DIGIT_PRINT_LIMIT + 100
     if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
         sys.set_int_max_str_digits(wanted)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (0, None):
-            return EXIT_OK
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except UsageError as exc:
+        sys.stderr.write(exc.report)
+        if _json_requested(sys.argv[1:] if argv is None else argv):
+            result = {"error": "UsageError", "message": str(exc)}
+            print(json.dumps({"command": exc.command, "parameters": {}, "result": result,
+                              "status": exc.status}))
+        return exc.exit_code
+    except SystemExit:
+        return EXIT_OK  # --help, printed in full
     if getattr(args, "bfile", False) and args.command != "seq":
         print("error: --bfile applies only to seq", file=sys.stderr)
         return EXIT_USAGE

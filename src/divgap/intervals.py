@@ -1,4 +1,5 @@
-"""Exact rational intervals and certified decimal rendering.
+"""Exact rational intervals, certified decimal rendering, and decimal_str,
+which renders an integer of any size.
 
 Everything here is closed-endpoint Fraction arithmetic. No floats enter any
 computation; a digit is reported only when truncation of both endpoints
@@ -7,9 +8,41 @@ agrees on it, so every printed digit is a proof, not an estimate.
 
 from __future__ import annotations
 
+import decimal
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+
+# Integers up to this many bits render through int.__str__, which is
+# quadratic in CPython; larger ones are split in halves and rebuilt in
+# libmpdec, whose multiplication is subquadratic. The split size stays far
+# below the interpreter's default 4300-digit conversion guard.
+SPLIT_BITS = 4096
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
+def decimal_str(n: int) -> str:
+    """str(n) in subquadratic time, by divide and conquer on the bits."""
+    if n.bit_length() <= SPLIT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_str(-n)
+    if n & (n - 1) == 0:
+        # the gap terms: one exact power in libmpdec, no splitting
+        return str(_EXACT.power(2, n.bit_length() - 1))
+    powers: dict[int, decimal.Decimal] = {}
+
+    def build(x: int, bits: int) -> decimal.Decimal:
+        if bits <= SPLIT_BITS:
+            return decimal.Decimal(x)
+        low_bits = bits // 2
+        high = x >> low_bits
+        if low_bits not in powers:
+            powers[low_bits] = _EXACT.power(2, low_bits)
+        scaled = _EXACT.multiply(build(high, bits - low_bits), powers[low_bits])
+        return _EXACT.add(scaled, build(x - (high << low_bits), low_bits))
+
+    return str(build(n, n.bit_length()))
 
 
 @dataclass(frozen=True)
@@ -95,9 +128,10 @@ def render_digits(iv: RationalInterval, max_places: int) -> DigitCertificate:
     whole_hi, frac_hi = divmod(hi.numerator * unit // hi.denominator, unit)
     if whole != whole_hi:
         return DigitCertificate("", 0)
-    # a zero-width format field would still print one digit
-    digits = (os.path.commonprefix([f"{frac_lo:0{depth}d}", f"{frac_hi:0{depth}d}"])
+    # zfill(0) keeps the "0" of a zero-depth fraction, which is no digit
+    digits = (os.path.commonprefix([decimal_str(frac_lo).zfill(depth),
+                                    decimal_str(frac_hi).zfill(depth)])
               if depth else "")
     if not digits:
-        return DigitCertificate(str(whole), 0)
-    return DigitCertificate(f"{whole}.{digits}", len(digits))
+        return DigitCertificate(decimal_str(whole), 0)
+    return DigitCertificate(f"{decimal_str(whole)}.{digits}", len(digits))

@@ -1,12 +1,13 @@
 """Tests for the paired-run summary in tools/bench_pair.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SPEC = importlib.util.spec_from_file_location(
-    "bench_pair", Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py")
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
 bench_pair = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pair)
 
@@ -43,3 +44,17 @@ def test_build_specs_name_a_maker_and_a_grid_axis():
             "sweep", "--parent", ".", "--change", ".", "--out", "unused.json",
             "--function", "divgap.intervals.render_digits", "--grid", "max_places=10",
             "--build", "iv=divgap.constants.k3_enclosure:n_terms"])
+
+
+def test_committed_bench_files_hold_complete_correct_runs():
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    for path in files:
+        for workload, section in json.loads(path.read_text())["pairs"].items():
+            where = f"{path.name} {workload}"
+            assert section["seconds"] == run_seconds, where
+            for side in bench_pair.SIDES:
+                runs = section["runs"][side]
+                assert [r["seed"] for r in runs] == section["seeds"], where
+                assert all(r["correct"] and r["failed"] == 0 for r in runs), where

@@ -128,7 +128,7 @@ def test_term_and_place_counts_must_be_positive(args, flag):
 
 
 def test_decimal_rendering_matches_str():
-    from divgap.cli import SPLIT_BITS, decimal_str
+    from divgap.intervals import SPLIT_BITS, decimal_str
 
     # str() of huge ints is guarded on interpreters that have the guard
     guarded = hasattr(sys, "set_int_max_str_digits")
@@ -312,6 +312,55 @@ def test_exit_usage_on_bad_grammar():
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("seq", "c", "--max", "4").returncode == 2
     assert run_cli("delta", "0").returncode == 2  # domain error reads as usage
+
+
+USAGE_ERRORS = [
+    (("constants", "c", "--terms", "0"), "constants", "argument --terms: must be at least 1"),
+    (("seq", "a"), "seq", "the following arguments are required: --max"),
+    (("frobnicate",), None, "invalid choice: 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize("args, command, message", USAGE_ERRORS)
+def test_usage_errors_write_an_envelope_under_json(args, command, message):
+    plain = run_cli(*args)
+    proc = run_cli(*args, "--json")
+    assert plain.returncode == proc.returncode == 2
+    assert plain.stdout == ""
+    # stderr carries the same usage report in both modes
+    assert proc.stderr == plain.stderr
+    assert plain.stderr.startswith("usage: divgap")
+    payload = json.loads(proc.stdout, object_pairs_hook=lambda kv: kv)
+    assert [k for k, _ in payload] == ["command", "parameters", "result", "status"]
+    top = dict(payload)
+    assert (top["command"], top["parameters"], top["status"]) == (command, [], "error")
+    result = dict(top["result"])
+    assert result["error"] == "UsageError"
+    assert message in result["message"]
+
+
+@pytest.mark.parametrize("args", [args for args, _, _ in USAGE_ERRORS])
+def test_usage_report_is_argparse_own(args, capsys, monkeypatch):
+    import argparse
+
+    import divgap.cli
+
+    assert divgap.cli.run(list(args)) == 2
+    ours = capsys.readouterr()
+    assert ours.out == ""
+    monkeypatch.setattr(divgap.cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as exc:
+        divgap.cli.build_parser().parse_args(list(args))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ours.err
+
+
+def test_help_under_json_writes_no_envelope():
+    proc = run_cli("constants", "--help", "--json")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: divgap constants")
+    assert "--terms" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_exit_resource_on_oracle_bound():

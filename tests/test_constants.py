@@ -9,6 +9,7 @@ ow_sequence steps the K3 iteration one term at a time, the reference for
 the library's eight-step jumps.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,23 @@ def test_relation_at_20000_terms():
     rep = relation_check(20000)
     assert rep.overlap
     assert rep.agreeing_places >= 3500
+
+
+def test_relation_past_the_int_string_guard():
+    # 30,000 terms certify more places than the interpreter's default guard
+    # lets str() render; called as a library, outside the CLI that raises
+    # it, the digits must render all the same (3.10 has no guard)
+    guarded = hasattr(sys, "set_int_max_str_digits")
+    if guarded:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        rep = relation_check(30000)
+    finally:
+        if guarded:
+            sys.set_int_max_str_digits(old)
+    assert rep.overlap
+    assert rep.agreeing_places >= 5000
 
 
 def test_relation_agreement_grows_with_terms():

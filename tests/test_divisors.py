@@ -2,10 +2,16 @@
 
 The trial-division oracle is the ground truth here. Everything the factored
 route produces is checked against it, either directly or through the naive
-referee implementations defined at the top of this file.
+referee implementations defined at the top of this file. The trial-division
+kernels' former loops (an upward scan keeping the last qualifying divisor,
+and while loops stepping p * p <= rest) are kept verbatim below as the
+reference for the downward scan and the range loops that replaced them.
 """
 
+import operator
 import random
+import subprocess
+import sys
 from math import isqrt
 
 import pytest
@@ -17,6 +23,8 @@ from divgap.divisors import (
     ORACLE_BOUND,
     DivisorPair,
     Factorization,
+    _is_prime,
+    _oracle_min_pair,
     check_divisor_count_law,
     check_middle_pair_law,
     delta,
@@ -29,7 +37,13 @@ from divgap.divisors import (
     gap_factorization,
     middle_pair_3x2k,
 )
-from divgap.errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit
+from divgap.errors import (
+    DivgapError,
+    NoQualifyingPair,
+    OracleBoundExceeded,
+    ResourceLimit,
+    brief,
+)
 from divgap.sequences import b_seq
 
 
@@ -49,6 +63,85 @@ def naive_min_pair(m, threshold=None):
             if best is None or e - d < best[1] - best[0]:
                 best = (d, e)
     return best
+
+
+def ascending_min_pair(m: int, threshold: int | None, oracle_bound: int) -> DivisorPair:
+    """The oracle's former upward scan, which keeps the last qualifying divisor."""
+    if m > oracle_bound:
+        raise OracleBoundExceeded(
+            f"m={brief(m)} exceeds the trial-division bound {oracle_bound}; "
+            "raise it with --oracle-bound or pass a Factorization"
+        )
+    # The gap m/d - d shrinks as d grows, so the last qualifying d wins.
+    best = None
+    for d in range(1, isqrt(m) + 1):
+        if m % d == 0:
+            diff = m // d - d
+            if threshold is None or diff > threshold:
+                best = DivisorPair(d, m // d)
+    if best is None:
+        raise NoQualifyingPair(f"no divisor pair of {m} has difference above {threshold}")
+    return best
+
+
+def while_is_prime(p: int) -> bool:
+    """The former primality loop, stepping d while d * d <= p."""
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def while_factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
+                    hints: tuple[int, ...] = ()) -> Factorization:
+    """The former factorize, stepping p while p * p <= rest."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    found = {}
+    rest = m
+    for p in hints:
+        if p == 2:
+            if rest % 2 == 0:
+                e = (rest & -rest).bit_length() - 1
+                rest >>= e
+                found[2] = e
+        elif rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            found[p] = e
+    if rest > oracle_bound:
+        raise OracleBoundExceeded(
+            f"unfactored part {brief(rest)} of m exceeds the trial-division bound {oracle_bound}; "
+            "raise it with --oracle-bound or supply a Factorization"
+        )
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            found[p] = found.get(p, 0) + e
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        found[rest] = found.get(rest, 0) + 1
+    return Factorization.from_mapping(found)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (DivgapError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 # --- factorize and divisor lists ---
@@ -208,6 +301,104 @@ def test_delta_above_zero_dominates_delta(m):
 @given(st.integers(min_value=1, max_value=10**6))
 def test_divisor_lists_agree_everywhere(m):
     assert divisor_list_factored(factorize(m)) == divisor_list(m)
+
+
+# --- the trial-division kernels against their former loops ---
+
+SQUARES = (36, 100, 10**10)
+PRIME_SQUARES = (4, 9, 25, 97**2, 999983**2)
+TWICE_PRIMES = (6, 2 * 97, 2 * 999983, 2 * 100000007)
+# Korselt's criterion holds for each: squarefree, and p - 1 divides m - 1
+CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 5394826801, 232250619601)
+PINNED = (1, 2, 3, 48, 97, *SQUARES, *PRIME_SQUARES, *TWICE_PRIMES, *CARMICHAEL)
+PRIME_NEAR_1E14 = 10**14 - 27
+HINT_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def pinned_thresholds(m: int) -> list[int | None]:
+    """No threshold, the smallest ones, and each side of the minimal gap and
+    of the largest gap m - 1, where the stop test's strictness shows."""
+    g = ascending_min_pair(m, None, ORACLE_BOUND).difference
+    return [None, *sorted({t for t in (0, 1, g - 1, g, g + 1, m - 2, m - 1) if t >= 0})]
+
+
+@pytest.mark.parametrize("m", PINNED)
+def test_downward_scan_matches_the_ascending_scan_pinned(m):
+    for t in pinned_thresholds(m):
+        assert outcome(_oracle_min_pair, m, t, ORACLE_BOUND) == outcome(
+            ascending_min_pair, m, t, ORACLE_BOUND)
+        if t is None:
+            assert delta_pair(m) == ascending_min_pair(m, None, ORACLE_BOUND)
+        elif m >= 2:
+            assert outcome(delta_above, m, t) == outcome(ascending_min_pair, m, t, ORACLE_BOUND)
+
+
+def test_kernels_at_a_prime_near_the_bound():
+    p = PRIME_NEAR_1E14
+    assert delta_pair(p) == ascending_min_pair(p, None, ORACLE_BOUND) == DivisorPair(1, p)
+    assert factorize(p).pairs == ((p, 1),)
+    assert _is_prime(p)
+    assert outcome(_oracle_min_pair, p + 1, 0, p) == outcome(ascending_min_pair, p + 1, 0, p)
+
+
+@pytest.mark.parametrize("m", PINNED)
+def test_range_loops_match_the_while_loops_pinned(m):
+    assert _is_prime(m) == while_is_prime(m)
+    for hints in ((), (2,), HINT_PRIMES):
+        assert factorize(m, hints=hints) == while_factorize(m, hints=hints)
+
+
+# random m up to 10^12, and products of two factors up to 10^6, whose
+# divisors crowd the square root
+MACHINE_M = st.one_of(
+    st.integers(min_value=1, max_value=10**12),
+    st.builds(operator.mul, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MACHINE_M, st.one_of(st.none(), st.integers(0, 10**4)),
+       st.sampled_from((ORACLE_BOUND, 10**9)))
+def test_downward_scan_matches_the_ascending_scan(m, t, bound):
+    assert outcome(_oracle_min_pair, m, t, bound) == outcome(ascending_min_pair, m, t, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-3, max_value=10**12))
+def test_is_prime_matches_the_while_loop(p):
+    assert _is_prime(p) == while_is_prime(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        MACHINE_M,
+        # smooth over the hint primes times a machine-scale cofactor
+        st.builds(lambda a, i, j: a * 2**i * 3**j,
+                  st.integers(1, 10**12), st.integers(0, 200), st.integers(0, 100)),
+    ),
+    st.lists(st.sampled_from(HINT_PRIMES), unique=True).map(lambda h: tuple(sorted(h))),
+    st.sampled_from((ORACLE_BOUND, 10**6)),
+)
+def test_factorize_matches_the_while_loop(m, hints, bound):
+    assert outcome(factorize, m, oracle_bound=bound, hints=hints) == outcome(
+        while_factorize, m, oracle_bound=bound, hints=hints)
+
+
+def test_factorize_refreshes_its_bound_after_each_prime():
+    # 3^200 * 7 * p with p prime near 10^12 lies far above the default bound.
+    # With the bound raised, the scan's top falls to isqrt(p) once the 3s and
+    # the 7 are out, about 5 * 10^5 odd probes; a top kept from before either
+    # division would probe up to p itself, about 5 * 10^11 of them.
+    p = 999999999989
+    m = 3**200 * 7 * p
+    code = (
+        "from divgap.divisors import factorize; "
+        f"print(factorize({m}, oracle_bound={m}).pairs)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.stdout == f"((3, 200), (7, 1), ({p}, 1))\n"
 
 
 def test_pair_invariants():
