@@ -43,7 +43,6 @@ from .errors import (
 from .intervals import DigitCertificate, RationalInterval, render_digits
 from .josephus import (
     SIMULATION_CAP,
-    CeilingIteration,
     SurvivorResult,
     ow_sequence,
     survivor_recurrence,
@@ -52,19 +51,16 @@ from .josephus import (
 )
 from .report import CheckRecord, VerificationReport
 from .sequences import (
-    PartialProductState,
     SequenceReport,
     a_seq,
     b_closed_form,
     b_seq,
-    partial_product,
     verify_theorem,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CeilingIteration",
     "CheckRecord",
     "DEFAULT_TERMS",
     "DIVISOR_CAP",
@@ -77,7 +73,6 @@ __all__ = [
     "NoQualifyingPair",
     "ORACLE_BOUND",
     "OracleBoundExceeded",
-    "PartialProductState",
     "RationalInterval",
     "RelationReport",
     "ResourceLimit",
@@ -104,7 +99,6 @@ __all__ = [
     "k3_enclosure",
     "middle_pair_3x2k",
     "ow_sequence",
-    "partial_product",
     "relation_check",
     "render_digits",
     "survivor_recurrence",

@@ -1,8 +1,8 @@
 """Command-line interface: every library operation behind one executable.
 
 Output modes: plain text (default), --json (a stable envelope with all
-integers as decimal strings), and --bfile (index/value lines, sequences
-only). Exit codes: 0 ok, 2 usage, 3 resource or precision limit, 4 a
+integers as decimal strings), and --bfile (seq only: its plain index/value
+lines). Exit codes: 0 ok, 2 usage, 3 resource or precision limit, 4 a
 mathematically meaningful negative result.
 """
 
@@ -43,6 +43,7 @@ from .josephus import (
     survivor_simulation,
     survivor_via_ow,
 )
+from .report import VerificationReport
 from .sequences import A_PATHS, a_seq, b_seq, verify_theorem
 
 EXIT_OK = 0
@@ -67,7 +68,6 @@ class Outcome:
     result: dict
     plain: list[str]
     ok: bool = True
-    bfile: list[str] | None = None
 
     @property
     def status(self) -> str:
@@ -135,7 +135,7 @@ def _cmd_seq(args) -> Outcome:
         "path": rep.path,
         "terms": rep.terms,
     }
-    return Outcome(result, lines, bfile=lines)
+    return Outcome(result, lines)
 
 
 def _cmd_delta(args) -> Outcome:
@@ -166,8 +166,8 @@ def _cmd_divisors(args) -> Outcome:
 def _cmd_theorem(args) -> Outcome:
     rep = verify_theorem(args.max, args.path, oracle_bound=args.oracle_bound)
     lines = [
-        f"n={r.index} gap=2^{r.actual if r.actual is not None else '?'} "
-        f"expected=2^{r.expected} {'ok' if r.passed else 'MISMATCH'}"
+        f"n={r.index} gap=2^{decimal_str(r.actual) if r.actual is not None else '?'} "
+        f"expected=2^{decimal_str(r.expected)} {'ok' if r.passed else 'MISMATCH'}"
         for r in rep.records
     ]
     if rep.all_passed:
@@ -288,6 +288,15 @@ def _row(claim: str, reference: str, computed: str, ok: bool, finding: bool = Fa
     return {"claim": claim, "reference": reference, "computed": computed, "verdict": verdict}
 
 
+def _check_row(claim: str, reference: str, rep: VerificationReport, agreed: str,
+               counted: bool = False) -> dict:
+    """The row for a verification report: agreed when every record passes."""
+    computed = agreed if rep.all_passed else "MISMATCH"
+    if counted:
+        computed = f"{len(rep.records)} checks, {computed}"
+    return _row(claim, reference, computed, rep.all_passed)
+
+
 def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list[dict], bool]:
     """Recompute every reference value and identity; returns (rows, all_ok).
 
@@ -326,36 +335,17 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
     rows.append(_row("ceiling recurrence, indices 1..9", want, got, got == want))
 
     if not fast_only:
-        rep = verify_theorem(10, "oracle")
-        rows.append(_row(
-            "gap term = 2^b(n), n=3..10 (oracle path)", "equal at every index",
-            f"{len(rep.records)} checks, {'all equal' if rep.all_passed else 'MISMATCH'}",
-            rep.all_passed,
-        ))
-
-    rep = verify_theorem(40, "factored")
-    rows.append(_row(
-        "gap term = 2^b(n), n=3..40 (factored path)", "equal at every index",
-        f"{len(rep.records)} checks, {'all equal' if rep.all_passed else 'MISMATCH'}",
-        rep.all_passed,
-    ))
-
-    rep = check_divisor_count_law(30)
-    rows.append(_row(
-        "divisor count of 3*2^k, k=1..30 (enumerated)", "2k+2",
-        "2k+2 at every k" if rep.all_passed else "MISMATCH", rep.all_passed,
-    ))
-
-    rep = check_divisor_count_law(1000, enumerate_up_to=0)
-    rows.append(_row(
-        "divisor count of 3*2^k, k=1..1000 (formula)", "2k+2",
-        "2k+2 at every k" if rep.all_passed else "MISMATCH", rep.all_passed,
-    ))
-
-    rep = check_middle_pair_law(30)
-    rows.append(_row(
+        rows.append(_check_row("gap term = 2^b(n), n=3..10 (oracle path)", "equal at every index",
+                               verify_theorem(10, "oracle"), "all equal", counted=True))
+    rows.append(_check_row("gap term = 2^b(n), n=3..40 (factored path)", "equal at every index",
+                           verify_theorem(40, "factored"), "all equal", counted=True))
+    rows.append(_check_row("divisor count of 3*2^k, k=1..30 (enumerated)", "2k+2",
+                           check_divisor_count_law(30), "2k+2 at every k"))
+    rows.append(_check_row("divisor count of 3*2^k, k=1..1000 (formula)", "2k+2",
+                           check_divisor_count_law(1000, enumerate_up_to=0), "2k+2 at every k"))
+    rows.append(_check_row(
         "minimal gap of 3*2^k = middle-pair gap, k=1..30 (brute force)", "equal",
-        "equal at every k" if rep.all_passed else "MISMATCH", rep.all_passed,
+        check_middle_pair_law(30), "equal at every k",
     ))
 
     d48 = delta(48)
@@ -567,9 +557,6 @@ def run(argv=None) -> int:
         return _emit_failure(args, exc, "error", EXIT_USAGE)
     if args.json:
         print(json.dumps(_envelope(args, out.result, out.status)))
-    elif getattr(args, "bfile", False):
-        for line in out.bfile:
-            print(line)
     else:
         for line in out.plain:
             print(line)

@@ -39,8 +39,8 @@ def _iterate_q3(seed: int, count: int) -> int:
     f(2^j*G + M) = 3*2^(j-1)*G + f(M) for every j >= 1 and integer M, so by
     induction f^8(2^8*H + L) = 3^8*H + f^8(L): one shift, mask, multiply and
     add replace eight multiply-add-shift steps on the full-size integer. The
-    last count - 1 mod 8 steps run singly. ow_sequence(3, seed, count) is the
-    stepwise route to the same term.
+    last count - 1 mod 8 steps run singly. ow_sequence(3, seed, count)[-1] is
+    the stepwise route to the same term.
     """
     x = seed
     for _ in range((count - 1) >> 3):

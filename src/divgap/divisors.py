@@ -186,15 +186,21 @@ def divisor_list_factored(f: Factorization, *, divisor_cap: int = DIVISOR_CAP) -
             f"divisor count {count} exceeds the cap {divisor_cap}; "
             "raise it with --divisor-cap or use the gap operations, which do not materialize"
         )
+    divs = _divisors_unsorted(f.pairs)
+    divs.sort()
+    return divs
+
+
+def _divisors_unsorted(pairs) -> list[int]:
+    """Every divisor of the product of p**e over pairs; the last is that product."""
     divs = [1]
-    for p, e in f.pairs:
+    for p, e in pairs:
         powers = []
         v = 1
         for _ in range(e + 1):
             powers.append(v)
             v *= p
         divs = [d * w for d in divs for w in powers]
-    divs.sort()
     return divs
 
 
@@ -212,12 +218,18 @@ def _oracle_min_pair(m: int, threshold: int | None, oracle_bound: int) -> Diviso
             f"m={brief(m)} exceeds the trial-division bound {oracle_bound}; "
             "raise it with --oracle-bound or pass a Factorization"
         )
-    # The gap m/d - d strictly decreases as d grows, so scanning down from
-    # the square root the first qualifying divisor has the minimal gap. A
-    # prime m still costs isqrt(m) probes; `not m % d` is the cheapest
-    # divisibility test per probe in CPython bytecode.
-    for d in range(isqrt(m), 0, -1):
-        if not m % d and (threshold is None or m // d - d > threshold):
+    # For d | m the gap m/d - d exceeds t exactly when d * (d + t) < m, that
+    # is (2d + t)**2 <= t*t + 4m - 1, and it strictly decreases as d grows;
+    # so scanning down from the largest such d, the first divisor has the
+    # minimal qualifying gap, and no scan runs when that d is 0. A prime m
+    # still costs that many probes; `not m % d` is the cheapest divisibility
+    # test per probe in CPython bytecode.
+    if threshold is None:
+        start = isqrt(m)
+    else:
+        start = (isqrt(threshold * threshold + 4 * m - 1) - threshold) // 2
+    for d in range(start, 0, -1):
+        if not m % d:
             return DivisorPair(d, m // d)
     raise NoQualifyingPair(f"no divisor pair of {m} has difference above {threshold}")
 
@@ -288,17 +300,8 @@ def _chain_split(
             f"the part coprime to {p} has {count} divisors, above the cap "
             f"{divisor_cap}; raise it with --divisor-cap"
         )
-    small = [1]
-    for q, e in rest:
-        powers = []
-        v = 1
-        for _ in range(e + 1):
-            powers.append(v)
-            v *= q
-        small = [d * w for d in small for w in powers]
-    total = 1
-    for q, e in rest:
-        total *= q**e
+    small = _divisors_unsorted(rest)
+    total = small[-1]
     return p, e_big, [(s, total // s) for s in small]
 
 

@@ -13,12 +13,12 @@ from array import array
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import ResourceLimit, SimulationCapExceeded
+from .errors import ResourceLimit, SimulationCapExceeded, brief
 
 SIMULATION_CAP = 10**6
-# most iterations survivor_via_ow may be predicted to take; a million steps
-# on machine-size terms take about 0.1 s
-OW_STEP_LIMIT = 10**6
+# most iterations survivor_recurrence or survivor_via_ow may be predicted to
+# take; a million steps on machine-size terms take about 0.1 s
+STEP_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,6 @@ class SurvivorResult:
     def __post_init__(self):
         if not 1 <= self.survivor <= self.n:
             raise ValueError(f"survivor {self.survivor} outside 1..{self.n}")
-
-
-@dataclass(frozen=True)
-class CeilingIteration:
-    """Terms of x -> ceil(q*x / (q-1)) from a positive seed."""
-
-    q: int
-    seed: int
-    _terms: tuple[int, ...]
-
-    @property
-    def terms(self) -> list[int]:
-        return list(self._terms)
 
 
 def _validate(n: int, q: int) -> None:
@@ -60,9 +47,18 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     pos + s*(q-1) < m, the next s steps never wrap and each just adds q, so
     they run as one batch; the step after a batch wraps. That takes about
     q*ln(n) iterations when q is much smaller than n, and one step at a time
-    while q is at least the circle size.
+    while q is at least the circle size. Each iteration grows the circle, so
+    there are at most n - 1, and q * bit_length(n) exceeds the q*ln(n) term;
+    a predicted min of the two above STEP_LIMIT is refused before the first
+    step.
     """
     _validate(n, q)
+    predicted = min(n - 1, q * n.bit_length())
+    if predicted > STEP_LIMIT:
+        raise ResourceLimit(
+            f"the recurrence would take up to {predicted} iterations at n={brief(n)}, "
+            f"q={brief(q)}, above the limit {STEP_LIMIT}; lower --q or --n"
+        )
     pos, m = 0, 1
     while m < n:
         s = min((m - pos - 1) // (q - 1), n - m)
@@ -110,7 +106,7 @@ def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP)
     return SurvivorResult(n, q, hi[0] * w + lo[0] + 1, "simulation")
 
 
-def ow_sequence(q: int, seed: int, count: int) -> CeilingIteration:
+def ow_sequence(q: int, seed: int, count: int) -> list[int]:
     """First count terms of x -> ceil(q*x / (q-1)) starting at seed."""
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
@@ -123,7 +119,7 @@ def ow_sequence(q: int, seed: int, count: int) -> CeilingIteration:
     for _ in range(count - 1):
         x = (q * x + q - 2) // (q - 1)
         terms.append(x)
-    return CeilingIteration(q, seed, tuple(terms))
+    return terms
 
 
 def survivor_via_ow(n: int, q: int) -> SurvivorResult:
@@ -136,15 +132,15 @@ def survivor_via_ow(n: int, q: int) -> SurvivorResult:
     Each step multiplies the term by at least q/(q-1), and ln(q/(q-1)) >= 1/q,
     so reaching (q-1)*n takes at most q*ln((q-1)*n) + 1 steps; q times the
     bit length of (q-1)*n bounds that without floats, and a bound above
-    OW_STEP_LIMIT is refused before the first step.
+    STEP_LIMIT is refused before the first step.
     """
     _validate(n, q)
     bound = (q - 1) * n
     predicted = q * bound.bit_length()
-    if predicted > OW_STEP_LIMIT:
+    if predicted > STEP_LIMIT:
         raise ResourceLimit(
             f"the ceiling iteration would take up to {predicted} steps at q={q}, "
-            f"above the limit {OW_STEP_LIMIT}; use --algo recurrence"
+            f"above the limit {STEP_LIMIT}; use --algo recurrence"
         )
     term = 1
     while term <= bound:

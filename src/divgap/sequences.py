@@ -1,4 +1,4 @@
-"""The divisor-gap sequence, its exponent sequence, and their partial products.
+"""The divisor-gap sequence and its exponent sequence.
 
 The gap sequence starts at 4 and extends by the smallest complementary-divisor
 difference above 1 of the product of all earlier terms. The exponent sequence
@@ -17,7 +17,6 @@ from .divisors import (
     ORACLE_BOUND,
     Factorization,
     delta_above,
-    factorize,
     gap_factorization,
 )
 from .errors import InsufficientPrecision
@@ -90,15 +89,6 @@ class SequenceReport:
         return list(self)
 
 
-@dataclass(frozen=True)
-class PartialProductState:
-    """Product of the gap terms before index n, kept in factored form."""
-
-    n: int
-    factorization: Factorization
-    running_b_sum: int
-
-
 def b_seq(n_max: int) -> SequenceReport:
     """Indices 1..n_max of the half-sum ceiling recurrence."""
     if n_max < 1:
@@ -122,7 +112,7 @@ def _a_seq_oracle(n_max: int, oracle_bound: int) -> SequenceReport:
     return SequenceReport("a", 0, "oracle", tuple(terms))
 
 
-def _factored_terms(n_max: int, oracle_bound: int) -> list[Factorization]:
+def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
     # Each gap comes out of the walk already factored, so the product is
     # extended by exponent arithmetic and no term is ever materialized.
     terms = [Factorization(((2, 2),))]
@@ -131,11 +121,6 @@ def _factored_terms(n_max: int, oracle_bound: int) -> list[Factorization]:
         gap = gap_factorization(product, 1, oracle_bound=oracle_bound)
         terms.append(gap)
         product = product.multiply(gap)
-    return terms
-
-
-def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
-    terms = _factored_terms(n_max, oracle_bound)
     # the closing run of powers of two stays in exponent form; a term is
     # counted only when its own factorization says so
     exponents = []
@@ -164,26 +149,6 @@ def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUN
     if path == "factored":
         return _a_seq_factored(n_max, oracle_bound)
     raise ValueError(f"unknown path {path!r}, expected one of {A_PATHS}")
-
-
-def partial_product(n: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> PartialProductState:
-    """Factored product of gap terms 0..n-1, plus the running b sum.
-
-    The factored path multiplies the walk's gap factorizations; the oracle
-    path factors its machine-size terms.
-    """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    b_sum = sum(b_seq(max(n - 1, 1)).terms[: n - 1])
-    if path == "factored":
-        gaps = _factored_terms(n - 1, oracle_bound)
-    else:
-        gaps = [factorize(a, oracle_bound=oracle_bound)
-                for a in a_seq(n - 1, path, oracle_bound=oracle_bound)]
-    f = Factorization(())
-    for g in gaps:
-        f = f.multiply(g)
-    return PartialProductState(n, f, b_sum)
 
 
 def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> VerificationReport:

@@ -416,6 +416,26 @@ def test_ow_refuses_a_huge_q_at_once(algo, json_flag, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("algo", ["recurrence", "all"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_recurrence_refuses_a_huge_q_at_once(algo, json_flag, capsys):
+    from divgap.cli import run
+
+    start = time.perf_counter()
+    code = run(["josephus", "--n", str(10**12), "--q", str(10**9), "--algo", algo, *json_flag])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 0.25
+    assert "--q" in err and "--n" in err
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top["status"] == "error"
+        assert dict(top["result"])["error"] == "ResourceLimit"
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize("command", ["delta", "divisors"])
 def test_a_long_argument_is_refused_without_echoing_it(command):
     m = "7" * 5000

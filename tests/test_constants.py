@@ -323,7 +323,7 @@ def test_k3_enclosure_nesting():
 def test_k3_seed_choice_is_the_shifted_seed1_iteration():
     # the seed-1 iterate one index later gives the same enclosure endpoints
     n = 50
-    e_seed1 = ow_sequence(3, 1, n + 1).terms[-1]
+    e_seed1 = ow_sequence(3, 1, n + 1)[-1]
     iv = k3_enclosure(n)
     assert iv.lo == e_seed1 * Fraction(2, 3) ** n
 
@@ -332,18 +332,18 @@ def test_k3_seed_choice_is_the_shifted_seed1_iteration():
 def test_jumped_iterate_matches_ow_sequence_at_every_short_count(count):
     # counts 1..64 cover every tail of 0..7 single steps after 0..7 jumps
     for seed in (1, 2, 3, 255, 256, 257):
-        assert _iterate_q3(seed, count) == ow_sequence(3, seed, count).terms[-1]
+        assert _iterate_q3(seed, count) == ow_sequence(3, seed, count)[-1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=3000))
 def test_jumped_iterate_matches_ow_sequence(seed, count):
-    assert _iterate_q3(seed, count) == ow_sequence(3, seed, count).terms[-1]
+    assert _iterate_q3(seed, count) == ow_sequence(3, seed, count)[-1]
 
 
 def test_k3_enclosure_is_the_stepwise_enclosure():
     for n in (1, 2, 7, 8, 9, 200, 1000):
-        e = ow_sequence(3, 2, n).terms[-1]
+        e = ow_sequence(3, 2, n)[-1]
         scale = Fraction(2, 3) ** n
         assert k3_enclosure(n) == RationalInterval(e * scale, (e + 2) * scale)
 

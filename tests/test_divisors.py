@@ -12,6 +12,7 @@ import operator
 import random
 import subprocess
 import sys
+import time
 from math import isqrt
 
 import pytest
@@ -339,6 +340,40 @@ def test_kernels_at_a_prime_near_the_bound():
     assert factorize(p).pairs == ((p, 1),)
     assert _is_prime(p)
     assert outcome(_oracle_min_pair, p + 1, 0, p) == outcome(ascending_min_pair, p + 1, 0, p)
+
+
+@pytest.mark.parametrize("m", [2, 48, 97, 10**14])
+def test_scan_starts_below_the_largest_gap(m):
+    # only d = 1, whose gap m - 1 is the largest, can exceed t = m - 2
+    for t in (m - 2, m - 1, m, 10 * m):
+        got = outcome(delta_above, m, t)
+        if t == m - 2:
+            assert got == DivisorPair(1, m)
+        else:
+            assert got == (NoQualifyingPair,
+                           f"no divisor pair of {m} has difference above {t}")
+        if m < 10**14:
+            assert got == outcome(ascending_min_pair, m, t, ORACLE_BOUND)
+
+
+def test_no_scan_runs_when_no_pair_can_qualify():
+    start = time.perf_counter()
+    with pytest.raises(NoQualifyingPair):
+        delta_above(10**14, 10**14)
+    assert time.perf_counter() - start < 0.01
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10**6), st.data())
+def test_scan_start_matches_the_ascending_scan_at_any_threshold(m, data):
+    # thresholds around every gap of m, where the start's exact correction shows
+    t = data.draw(st.one_of(
+        st.integers(0, 2 * m),
+        st.sampled_from([m // d - d + k for d in range(1, isqrt(m) + 1) if m % d == 0
+                         for k in (-1, 0, 1) if m // d - d + k >= 0]),
+    ))
+    assert outcome(_oracle_min_pair, m, t, ORACLE_BOUND) == outcome(
+        ascending_min_pair, m, t, ORACLE_BOUND)
 
 
 @pytest.mark.parametrize("m", PINNED)

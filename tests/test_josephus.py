@@ -7,6 +7,8 @@ The naive fold is the recurrence one step at a time, the reference for the
 library's batched fold.
 """
 
+import inspect
+import sys
 import time
 import tracemalloc
 from collections import deque
@@ -18,9 +20,8 @@ from hypothesis import strategies as st
 
 from divgap.errors import ResourceLimit, SimulationCapExceeded
 from divgap.josephus import (
-    OW_STEP_LIMIT,
     SIMULATION_CAP,
-    CeilingIteration,
+    STEP_LIMIT,
     SurvivorResult,
     ow_sequence,
     survivor_recurrence,
@@ -168,7 +169,7 @@ def test_simulation_cap():
 
 def test_ow_refuses_a_step_count_above_the_limit():
     # q * bit_length((q - 1) * n) is 40000 * 25, exactly the limit, at n = 500
-    assert OW_STEP_LIMIT == 10**6
+    assert STEP_LIMIT == 10**6
     assert survivor_via_ow(500, 40000).survivor == survivor_recurrence(500, 40000).survivor
     with pytest.raises(ResourceLimit):
         survivor_via_ow(500, 40001)
@@ -181,8 +182,50 @@ def test_ow_refuses_a_step_count_above_the_limit():
 def test_ow_limit_admits_the_largest_benchmarked_games():
     # the survivors benchmark runs --algo ow at q <= 7 and n < 10^303
     n = 10**303 - 1
-    assert 7 * (6 * n).bit_length() < 10**4 < OW_STEP_LIMIT
+    assert 7 * (6 * n).bit_length() < 10**4 < STEP_LIMIT
     assert survivor_via_ow(n, 7).survivor == survivor_recurrence(n, 7).survivor
+
+
+def recurrence_iterations(n, q):
+    """How often survivor_recurrence's loop body runs, counted by a line tracer."""
+    code = survivor_recurrence.__code__
+    lines, first = inspect.getsourcelines(survivor_recurrence)
+    body = first + next(i for i, line in enumerate(lines) if "s = min(" in line)
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == body:
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        survivor_recurrence(n, q)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 100, 1000, 10**5])
+def test_recurrence_iterations_stay_within_the_prediction(q):
+    for n in (1, 2, 3, 10, 1000, 10**6, 10**12, 10**30):
+        predicted = min(n - 1, q * n.bit_length())
+        if predicted <= 2 * 10**5:
+            assert recurrence_iterations(n, q) <= predicted
+
+
+def test_recurrence_refuses_a_predicted_count_above_the_limit():
+    # min(n - 1, q * bit_length(n)) is 10^6 + 1 here, one above the limit
+    with pytest.raises(ResourceLimit, match="--q or --n"):
+        survivor_recurrence(10**6 + 2, 10**12)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="--q or --n"):
+        survivor_recurrence(10**12, 10**9)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_algorithm_labels():
@@ -196,21 +239,21 @@ def test_algorithm_labels():
 
 def test_ow_sequence_first_terms():
     # seed 1, q = 3: x -> ceil(3x/2)
-    assert ow_sequence(3, 1, 10).terms == [1, 2, 3, 5, 8, 12, 18, 27, 41, 62]
+    assert ow_sequence(3, 1, 10) == [1, 2, 3, 5, 8, 12, 18, 27, 41, 62]
     # seed 2 runs one step ahead of seed 1
-    assert ow_sequence(3, 2, 9).terms == [2, 3, 5, 8, 12, 18, 27, 41, 62]
+    assert ow_sequence(3, 2, 9) == [2, 3, 5, 8, 12, 18, 27, 41, 62]
     # q = 2 doubles with a +... ceiling that lands on powers of two shifts
-    assert ow_sequence(2, 1, 6).terms == [1, 2, 4, 8, 16, 32]
+    assert ow_sequence(2, 1, 6) == [1, 2, 4, 8, 16, 32]
 
 
 def test_ow_seed_shift_identity():
-    shifted = ow_sequence(3, 1, 201).terms[1:]
-    assert ow_sequence(3, 2, 200).terms == shifted
+    shifted = ow_sequence(3, 1, 201)[1:]
+    assert ow_sequence(3, 2, 200) == shifted
 
 
 def test_ow_growth_bounds():
     for q in (2, 3, 4, 5):
-        seq = ow_sequence(q, 1, 80).terms
+        seq = ow_sequence(q, 1, 80)
         for x, y in zip(seq, seq[1:]):
             assert y >= Fraction(q * x, q - 1)
             assert y <= Fraction(q * x, q - 1) + 1
@@ -223,10 +266,3 @@ def test_ow_sequence_validates():
         ow_sequence(3, 0, 5)
     with pytest.raises(ValueError):
         ow_sequence(3, 1, 0)
-
-
-def test_ceiling_iteration_record():
-    it = ow_sequence(3, 2, 5)
-    assert isinstance(it, CeilingIteration)
-    assert (it.q, it.seed) == (3, 2)
-    assert len(it.terms) == 5

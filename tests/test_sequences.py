@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from divgap import sequences
 from divgap.cli import run
-from divgap.divisors import DivisorPair, Factorization
+from divgap.divisors import DivisorPair, Factorization, factorize
 from divgap.errors import InsufficientPrecision, OracleBoundExceeded
 from divgap.intervals import RationalInterval
 from divgap.sequences import (
@@ -21,7 +21,6 @@ from divgap.sequences import (
     a_seq,
     b_closed_form,
     b_seq,
-    partial_product,
     verify_theorem,
 )
 
@@ -161,21 +160,29 @@ def test_b_recurrence_rederivable_from_emitted_terms(n):
 # --- partial products ---
 
 
+def gap_product(n, path="factored"):
+    """p_n, the product of gap terms 0..n-1, factored from a_seq's terms;
+    the factored path's power-of-two terms are added as exponents."""
+    rep = a_seq(n - 1, path)
+    f = Factorization(())
+    for t in rep.prefix:
+        f = f.multiply(factorize(t))
+    e = sum(rep.exponents)
+    return f.multiply(Factorization(((2, e),))) if e else f
+
+
 def test_partial_product_small_values():
     # p_n = product of the first n gap terms; frozen by direct multiplication
     expected = {1: 4, 2: 12, 3: 48, 4: 96, 5: 384, 6: 3072, 7: 49152}
     for n, want in expected.items():
         for path in A_PATHS:
-            state = partial_product(n, path)
-            assert state.n == n
-            assert state.factorization.value() == want
+            assert gap_product(n, path).value() == want
 
 
 def test_partial_product_structure():
-    state = partial_product(1, "factored")
-    assert state.factorization.pairs == ((2, 2),)
+    assert gap_product(1).pairs == ((2, 2),)
     for n in range(2, 30):
-        pairs = partial_product(n, "factored").factorization.pairs
+        pairs = gap_product(n).pairs
         assert len(pairs) == 2
         assert pairs[0][0] == 2 and pairs[1] == (3, 1)
 
@@ -183,31 +190,30 @@ def test_partial_product_structure():
 def test_partial_product_exponent_bookkeeping():
     b = b_seq(60).terms
     for n in range(3, 60):
-        e = partial_product(n, "factored").factorization.pairs[0][1]
+        e = gap_product(n).pairs[0][1]
         assert e == 2 + sum(b[: n - 1])
     # consecutive exponents differ by exactly b_n
-    e_prev = partial_product(10, "factored").factorization.pairs[0][1]
-    e_next = partial_product(11, "factored").factorization.pairs[0][1]
+    e_prev = gap_product(10).pairs[0][1]
+    e_next = gap_product(11).pairs[0][1]
     assert e_next - e_prev == b[9]
 
 
 def test_partial_product_running_sum():
+    # the gap exponents of terms 3..29 add up to the running b sum b(3..29)
     b = b_seq(30).terms
-    state = partial_product(30, "factored")
-    assert state.running_b_sum == sum(b[:29])
+    rep = a_seq(29)
+    assert sum(rep.two_exponent(n) for n in range(3, 30)) == sum(b[2:29])
 
 
 def test_partial_product_paths_agree():
     for n in range(1, 12):
-        want = partial_product(n, "oracle").factorization
-        assert partial_product(n, "factored").factorization == want
+        assert gap_product(n, "factored") == gap_product(n, "oracle")
 
 
 def test_partial_product_known_large_exponent():
     # frozen from an earlier run of the recurrence alone; the walk must
     # reach it from the divisor definition
-    state = partial_product(40, "factored")
-    assert state.factorization.pairs[0] == (2, 7972439)
+    assert gap_product(40).pairs[0] == (2, 7972439)
 
 
 # --- theorem verification ---
