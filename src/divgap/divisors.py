@@ -26,8 +26,8 @@ DIVISOR_CAP = 10**7
 
 
 def _is_prime(p: int) -> bool:
-    # Factorization checks its primes on every construction, mostly 2 and 3,
-    # so those answer without building a range
+    # Factorization checks the primes it is built from, mostly 2 and 3, so
+    # those answer without building a range
     if p < 9:
         return p in (2, 3, 5, 7)
     if p % 2 == 0:
@@ -45,6 +45,8 @@ class Factorization:
     The empty tuple represents 1. Primes must be strictly increasing with
     positive exponents and are verified prime by trial division, so keep
     individual primes at desk scale; exponents may be arbitrarily large.
+    multiply and factorize build their results from primes already proven
+    and skip that check.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -64,6 +66,13 @@ class Factorization:
     def from_mapping(cls, mapping: dict[int, int]) -> Factorization:
         return cls(tuple(sorted(mapping.items())))
 
+    @classmethod
+    def _proven(cls, mapping: dict[int, int]) -> Factorization:
+        """from_mapping for primes already proven, without proving them again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "pairs", tuple(sorted(mapping.items())))
+        return f
+
     def value(self) -> int:
         m = 1
         for p, e in self.pairs:
@@ -80,7 +89,7 @@ class Factorization:
         merged = dict(self.pairs)
         for p, e in other.pairs:
             merged[p] = merged.get(p, 0) + e
-        return Factorization.from_mapping(merged)
+        return Factorization._proven(merged)
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,9 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     for p in hints:
         if rest % p == 0:
             rest, found[p] = _divide_out(rest, p)
+    # a hint is the caller's claim, so each one that divided m is proven; the
+    # primes found below are proven by the scan that finds them
+    Factorization.from_mapping(found)
     if rest > oracle_bound:
         raise OracleBoundExceeded(
             f"unfactored part {brief(rest)} of m exceeds the trial-division bound {oracle_bound}; "
@@ -141,7 +153,7 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
         start = p + 2
     if rest > 1:
         found[rest] = found.get(rest, 0) + 1
-    return Factorization.from_mapping(found)
+    return Factorization._proven(found)
 
 
 def _divide_out(rest: int, p: int) -> tuple[int, int]:

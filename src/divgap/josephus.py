@@ -4,18 +4,23 @@ n people stand in a circle, counting starts at person 1, and every q-th
 person leaves until one remains. The three routes are independent: a
 survivor recurrence, an explicit elimination of the circle, and a ceiling
 iteration that jumps straight to the answer. Their pairwise agreement is a
-test obligation, not an assumption.
+test obligation, not an assumption. Each route predicts its work from n and
+q and refuses a game predicted above its limit before doing any of it.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import ResourceLimit, SimulationCapExceeded, brief
 
 SIMULATION_CAP = 10**6
+# most array entries survivor_simulation's lap deletions may be predicted to
+# move; n = 10^5 with q >= n sits at it and takes about 0.4 s (2-core Xeon,
+# CPython 3.11)
+MOVE_LIMIT = 10**10
 # most iterations survivor_recurrence or survivor_via_ow may be predicted to
 # take; a million steps on machine-size terms take about 0.1 s
 STEP_LIMIT = 10**6
@@ -70,19 +75,50 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     return SurvivorResult(n, q, pos + 1, "recurrence")
 
 
+def _labels(n: int) -> array:
+    """array("I") holding 0..n-1, written as byte planes, with no int per label.
+
+    Bytes 0-1 of label i repeat every 65,536 labels, so one block of
+    min(n, 65536) labels gets them from two bytearray stride assignments;
+    each further block restamps byte 2 (and byte 3 when it changes) with the
+    block number and is appended whole. The planes are written little-endian
+    and byteswapped once on a big-endian host.
+    """
+    w = min(n, 1 << 16)
+    block = bytearray(4 * w)
+    block[0::4] = (bytes(range(256)) * -(-w // 256))[:w]
+    block[1::4] = b"".join(bytes((v,)) * 256 for v in range(-(-w // 256)))[:w]
+    cells = array("I")
+    for k in range(-(-n // w)):
+        if k:
+            block[2::4] = bytes((k & 255,)) * w
+            if not k & 255:
+                block[3::4] = bytes((k >> 8,)) * w
+        cells.frombytes(block)
+    del cells[n:]
+    if sys.byteorder == "big":
+        cells.byteswap()
+    return cells
+
+
 def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP) -> SurvivorResult:
     """Eliminate the explicit circle until one person remains.
 
-    The circle is two flat C arrays: with w = isqrt(n - 1) + 1, person
-    b*w + r + 1 is the pair (hi[i], lo[i]) = (b, r). Both columns are built
-    by repeating one block at C speed, so no int object is made per person,
-    and a removal deletes the same index from both.
+    The circle is one flat C array of the labels 0..n-1 (person i + 1 is
+    label i), built by _labels, so no int object is made per person. Labels
+    are 32 bits wide, so n above 2**32 is refused whatever the cap.
 
     One lap around the circle removes every q-th survivor in a single slice
-    deletion from each column; the carry tracks counts that spill into the
-    next lap. When q exceeds the circle, the laps in which nobody reaches the
-    count are skipped by one divmod. This is the same elimination order as
-    removing people one at a time, just processed lap by lap.
+    deletion; the carry tracks counts that spill into the next lap. When q
+    exceeds the circle, the laps in which nobody reaches the count are
+    skipped by one divmod. This is the same elimination order as removing
+    people one at a time, just processed lap by lap.
+
+    A lap's deletion moves every entry from its first removal to the end of
+    the circle: at most n, and at most q per person it removes. Every lap
+    removes someone and n - 1 people leave in all, so the laps move at most
+    n*min(n, q) entries; a bound above MOVE_LIMIT (q >= n near the cap) is
+    refused before the circle is built.
     """
     _validate(n, q)
     if n > simulation_cap:
@@ -90,20 +126,24 @@ def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP)
             f"n={n} exceeds the simulation cap {simulation_cap}; "
             "raise it with --sim-cap or use the recurrence"
         )
-    w = isqrt(n - 1) + 1
-    blocks = -(-n // w)
-    lo = array("I", range(w)) * blocks
-    hi = array("I")
-    for b in range(blocks):
-        hi += array("I", [b]) * w
-    del lo[n:], hi[n:]
+    if n > 1 << 32:
+        raise ResourceLimit(
+            f"n={brief(n)} needs labels wider than 32 bits; use --algo recurrence"
+        )
+    predicted = n * min(n, q)
+    if predicted > MOVE_LIMIT:
+        raise ResourceLimit(
+            f"the simulation would move up to {predicted} entries at n={n}, q={brief(q)}, "
+            f"above the limit {MOVE_LIMIT}; use --algo recurrence"
+        )
+    cells = _labels(n)
     carry, size = 0, n
     while size > 1:
         empty, first = divmod((q - 1 - carry) % q, size)
-        del lo[first::q], hi[first::q]
+        del cells[first::q]
         carry = (carry + (empty + 1) * size) % q
-        size = len(lo)
-    return SurvivorResult(n, q, hi[0] * w + lo[0] + 1, "simulation")
+        size = len(cells)
+    return SurvivorResult(n, q, cells[0] + 1, "simulation")
 
 
 def ow_sequence(q: int, seed: int, count: int) -> list[int]:

@@ -436,6 +436,29 @@ def test_recurrence_refuses_a_huge_q_at_once(algo, json_flag, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("game", [
+    ("--n", "1000000", "--q", str(10**12)),
+    ("--n", str(2**32 + 1), "--q", "2", "--sim-cap", str(2**33)),
+], ids=["moves", "labels"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_simulation_refuses_at_once(game, json_flag, capsys):
+    from divgap.cli import run
+
+    start = time.perf_counter()
+    code = run(["josephus", *game, "--algo", "simulation", *json_flag])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 0.25
+    assert "--algo recurrence" in err
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top["status"] == "error"
+        assert dict(top["result"])["error"] == "ResourceLimit"
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize("command", ["delta", "divisors"])
 def test_a_long_argument_is_refused_without_echoing_it(command):
     m = "7" * 5000

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divgap import divisors
 from divgap.divisors import (
     DIVISOR_CAP,
     ORACLE_BOUND,
@@ -232,6 +233,23 @@ def test_factorization_multiply_merges_exponents():
     f = Factorization(((2, 3), (5, 1))).multiply(Factorization(((2, 1), (3, 2))))
     assert f.pairs == ((2, 4), (3, 2), (5, 1))
     assert f.value() == 2**4 * 3**2 * 5
+
+
+def test_multiply_and_factorize_prove_no_prime_twice(monkeypatch):
+    g = Factorization(((2, 3), (7, 1)))
+    calls = []
+    monkeypatch.setattr(divisors, "_is_prime", lambda p: calls.append(p) or _is_prime(p))
+    f = factorize(9999999967)
+    assert f.pairs == ((9999999967, 1),)
+    assert f.multiply(g).pairs == ((2, 3), (7, 1), (9999999967, 1))
+    assert calls == []
+    # the hints are still the caller's claim, proven when they divide m
+    assert factorize(2**40 * 3 * 101, hints=(2, 3, 5)).pairs == ((2, 40), (3, 1), (101, 1))
+    assert sorted(calls) == [2, 3]
+    with pytest.raises(ValueError, match="6 is not prime"):
+        factorize(12, hints=(6,))
+    with pytest.raises(ValueError, match="4 is not prime"):
+        Factorization(((4, 1),))
 
 
 # --- minimal-gap pairs, oracle route ---

@@ -4,15 +4,18 @@ The rotation referee below is a fourth, deliberately dumb implementation
 kept separate from the package: it rotates a deque q-1 steps and pops.
 All three library algorithms must match it, and each other, everywhere.
 The naive fold is the recurrence one step at a time, the reference for the
-library's batched fold.
+library's batched fold, and the two-column simulation is the circle's
+former layout, the reference for the one-column simulation.
 """
 
 import inspect
 import sys
 import time
 import tracemalloc
+from array import array
 from collections import deque
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,9 +23,11 @@ from hypothesis import strategies as st
 
 from divgap.errors import ResourceLimit, SimulationCapExceeded
 from divgap.josephus import (
+    MOVE_LIMIT,
     SIMULATION_CAP,
     STEP_LIMIT,
     SurvivorResult,
+    _labels,
     ow_sequence,
     survivor_recurrence,
     survivor_simulation,
@@ -45,6 +50,24 @@ def naive_fold(n, q):
     for m in range(2, n + 1):
         pos = (pos + q) % m
     return pos + 1
+
+
+def two_column_simulation(n, q):
+    """Survivor by lap deletions from two columns, (hi, lo) = divmod(label, w)."""
+    w = isqrt(n - 1) + 1
+    blocks = -(-n // w)
+    lo = array("I", range(w)) * blocks
+    hi = array("I")
+    for b in range(blocks):
+        hi += array("I", [b]) * w
+    del lo[n:], hi[n:]
+    carry, size = 0, n
+    while size > 1:
+        empty, first = divmod((q - 1 - carry) % q, size)
+        del lo[first::q], hi[first::q]
+        carry = (carry + (empty + 1) * size) % q
+        size = len(lo)
+    return hi[0] * w + lo[0] + 1
 
 
 # --- frozen single values ---
@@ -108,8 +131,8 @@ def test_recurrence_matches_ow_at_huge_n(exponent, q):
 
 @pytest.mark.parametrize("n", [999**2 - 1, 999**2, 999**2 + 1, 1000**2 - 1, 1000**2, 1000**2 + 1])
 def test_simulation_q2_closed_form_at_block_edges(n):
-    # the circle is stored in blocks of w = isqrt(n - 1) + 1 people; n next to
-    # a square moves w and leaves the last block one short, full, or nearly empty
+    # the edges of two_column_simulation's blocks of w = isqrt(n - 1) + 1
+    # people, where n next to a square moves w; kept as q = 2 games near the cap
     m = n.bit_length() - 1
     L = n - (1 << m)
     assert survivor_simulation(n, 2, simulation_cap=n).survivor == 2 * L + 1
@@ -132,15 +155,55 @@ def test_simulation_skips_empty_laps(q_of):
         assert survivor_simulation(n, q).survivor == rotation_referee(n, q)
 
 
-def test_simulation_memory_at_a_million():
-    # one int object per person would take about 42 MB here
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(1, 3 * 10**5), st.integers(2, 50)),
+    st.integers(1, 1999).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from((max(n, 2), n + 1, 10**12)))),
+))
+@example((3 * 10**5, 50))
+@example((65537, 2))
+@example((1999, 10**12))
+def test_one_column_matches_the_two_column_simulation(game):
+    n, q = game
+    assert survivor_simulation(n, q).survivor == two_column_simulation(n, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65535, 65536, 65537, 131072, 131073])
+def test_labels_at_byte_and_block_edges(n):
+    # bytes 0-1 of the labels come from one block of up to 65,536; byte 2
+    # is restamped per block
+    assert _labels(n) == array("I", range(n))
+    for q in (2, 3, 7):
+        assert survivor_simulation(n, q).survivor == survivor_recurrence(n, q).survivor
+
+
+def test_labels_past_the_third_byte():
+    # byte 3 is restamped only when it changes, first at label 2^24
+    n = 2**24 + 2
+    cells = _labels(n)
+    assert len(cells) == n
+    assert cells[2**24 - 2:] == array("I", range(2**24 - 2, n))
+    assert cells[::65521] == array("I", range(0, n, 65521))
+
+
+def simulation_peak(n, q):
     tracemalloc.start()
     try:
-        survivor_simulation(10**6, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        survivor_simulation(n, q)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+
+
+def test_simulation_memory_at_a_million():
+    # one int object per person would take about 42 MB here
+    assert simulation_peak(10**6, 2) < 12 * 2**20
+
+
+def test_simulation_memory_holds_one_column():
+    # one 4 MB column of labels; two_column_simulation peaked at 7.7 MB
+    assert simulation_peak(10**6, 2) < 6 * 2**20
 
 
 def test_q2_closed_form():
@@ -165,6 +228,67 @@ def test_simulation_cap():
     with pytest.raises(SimulationCapExceeded):
         survivor_simulation(1000, 3, simulation_cap=999)
     assert SIMULATION_CAP == 10**6
+
+
+def test_simulation_refuses_labels_wider_than_32_bits():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimit, match="--algo recurrence"):
+            survivor_simulation(2**32 + 1, 2, simulation_cap=2**33)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05
+    assert peak < 2**20
+
+
+def simulation_moves(n, q):
+    """Entries survivor_simulation's lap deletions move, summed by a line tracer.
+
+    A lap's deletion shifts or removes every entry from first to the end, so
+    it moves size - first of them.
+    """
+    code = survivor_simulation.__code__
+    lines, first_line = inspect.getsourcelines(survivor_simulation)
+    body = first_line + next(i for i, line in enumerate(lines) if "del cells[" in line)
+    moved = 0
+
+    def tracer(frame, event, arg):
+        nonlocal moved
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == body:
+            moved += frame.f_locals["size"] - frame.f_locals["first"]
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        survivor_simulation(n, q)
+    finally:
+        sys.settrace(previous)
+    return moved
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 59, 97, 1000, 10**12])
+def test_simulation_moves_stay_within_the_prediction(q):
+    for n in (1, 2, 3, 10, 96, 97, 98, 1000, 3000):
+        assert simulation_moves(n, q) <= n * min(n, q)
+
+
+def test_simulation_refuses_a_predicted_move_count_above_the_limit():
+    # the benchmarked and tested games sit far below the limit
+    assert max(10**6 * 7, 2 * 10**6 * 2) < MOVE_LIMIT
+    # n * min(n, q) is the limit itself at n = 10^5, and above it one person on
+    assert survivor_simulation(10**5, 10**5).survivor == survivor_recurrence(10**5, 10**5).survivor
+    with pytest.raises(ResourceLimit, match="--algo recurrence"):
+        survivor_simulation(10**5 + 1, 10**12)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="--algo recurrence"):
+        survivor_simulation(10**6, 10**12)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_ow_refuses_a_step_count_above_the_limit():
