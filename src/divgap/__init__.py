@@ -9,7 +9,6 @@ independent routes, and the test suite holds the routes to agreement.
 from .constants import (
     DEFAULT_TERMS,
     RelationReport,
-    c_digits,
     c_enclosure,
     k3_enclosure,
     relation_check,
@@ -84,7 +83,6 @@ __all__ = [
     "a_seq",
     "b_closed_form",
     "b_seq",
-    "c_digits",
     "c_enclosure",
     "check_divisor_count_law",
     "check_middle_pair_law",

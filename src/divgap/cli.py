@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .constants import (
     DEFAULT_TERMS,
-    c_digits,
     c_enclosure,
     k3_enclosure,
     relation_check,
@@ -306,8 +305,8 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
     relation does, unless a certified digit disagrees with the reference:
     that is a failed row.
     """
-    cert = c_digits(terms)
     rel = relation_check(terms)
+    cert = render_digits(rel.c_interval, terms)
     places = len(C_REFERENCE_26) - 2
     if C_REFERENCE_26.startswith(cert.decimal_prefix[: len(C_REFERENCE_26)]):
         if cert.certified_places < places:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyIntersection
-from .intervals import DigitCertificate, RationalInterval, render_digits
+from .intervals import RationalInterval, render_digits
 from .sequences import b_seq
 
 DEFAULT_TERMS = 200
@@ -122,9 +122,3 @@ def relation_check(n_terms: int) -> RelationReport:
     hull = c_iv.hull(scaled)
     places = render_digits(hull, n_terms).certified_places
     return RelationReport(c_iv, scaled, c_iv.overlaps(scaled), places)
-
-
-def c_digits(n_terms: int, max_places: int | None = None) -> DigitCertificate:
-    """Certified decimal digits of the growth constant."""
-    cap = max_places if max_places is not None else n_terms
-    return render_digits(c_enclosure(n_terms), cap)

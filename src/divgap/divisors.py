@@ -23,6 +23,8 @@ from .report import CheckRecord, VerificationReport
 ORACLE_BOUND = 10**14
 # Refusal point for materializing a full divisor list from a factorization.
 DIVISOR_CAP = 10**7
+# check_middle_pair_law recomputes the gap by trial division up to this k.
+BRUTE_UP_TO = 30
 
 
 def _is_prime(p: int) -> bool:
@@ -126,6 +128,9 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     found = {}
     rest = m
     for p in hints:
+        # 1 and -1 would divide out forever, 0 not at all
+        if p < 2:
+            raise ValueError(f"{p} is not prime")
         if rest % p == 0:
             rest, found[p] = _divide_out(rest, p)
     # a hint is the caller's claim, so each one that divided m is proven; the
@@ -321,42 +326,16 @@ def _boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
     """Largest a in [0, e_big] with s * p**a <= c * p**(e_big - a), else -1.
 
     That inequality says s * p**a is at most its complementary divisor, i.e.
-    at most the square root of the whole number.
+    at most the square root of the whole number. It reads
+    s * p**(2a - e_big) <= c, so with k the largest integer, possibly
+    negative, with s * p**k <= c, the answer is the largest a with
+    2a - e_big <= k. Below c, k = -j for the least j with p**j >= ceil(s/c).
     """
-    if not _le_scaled(s, -e_big, c, p):
-        return -1
-    lo, hi = 0, e_big
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _le_scaled(s, 2 * mid - e_big, c, p):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _descending_small_side(p: int, e_big: int, chains: list[tuple[int, int]]):
-    """Yield (s, a, c) for every divisor s * p**a at most its complement,
-    in strictly decreasing order of value, without materializing any value.
-    """
-    active = []
-    for s, c in chains:
-        a = _boundary_exponent(s, c, p, e_big)
-        if a >= 0:
-            active.append([a, s, c])
-    while active:
-        best = 0
-        for i in range(1, len(active)):
-            a_i, s_i, _ = active[i]
-            a_b, s_b, _ = active[best]
-            if not _le_scaled(s_i, a_i - a_b, s_b, p):
-                best = i
-        a, s, c = active[best]
-        yield s, a, c
-        if a == 0:
-            active.pop(best)
-        else:
-            active[best][0] = a - 1
+    if c >= s:
+        k = _ilog(c // s, p)
+    else:
+        k = -1 - _ilog(-(-s // c) - 1, p)
+    return max(-1, min(e_big, (e_big + k) // 2))
 
 
 def _min_gap_step(
@@ -371,18 +350,29 @@ def _min_gap_step(
     """
     # the empty factorization walks as 2**0 with the single chain (1, 1)
     p, e_big, chains = _chain_split(f.pairs or ((2, 0),), divisor_cap)
-    # Walk down from the square root; the gap grows as the small side
-    # shrinks, so the first qualifying divisor gives the minimal gap.
-    for s, a, c in _descending_small_side(p, e_big, chains):
-        k = e_big - 2 * a
-        inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
-        shared = min(a, e_big - a)
-        # inner is 0 only at an exact square root, where no threshold is met
-        if threshold is None or (inner and not _le_scaled(inner, shared, threshold, p)):
-            return p, e_big, s, a, c, inner
-    raise NoQualifyingPair(
-        f"no divisor pair of the factored input has difference above {threshold}"
-    )
+    # The gap strictly grows as the small side shrinks, so the qualifying
+    # divisors are exactly those up to one bound. Each chain steps down from
+    # its square-root boundary to its largest qualifying divisor, and the
+    # largest of those over all chains has the minimal gap.
+    best = None
+    for s, c in chains:
+        a = _boundary_exponent(s, c, p, e_big)
+        while a >= 0:
+            k = e_big - 2 * a
+            inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
+            # inner is 0 only at an exact square root, where no threshold is met
+            if threshold is None or (
+                inner and not _le_scaled(inner, min(a, e_big - a), threshold, p)
+            ):
+                if best is None or not _le_scaled(s, a - best[1], best[0], p):
+                    best = s, a, c, inner
+                break
+            a -= 1
+    if best is None:
+        raise NoQualifyingPair(
+            f"no divisor pair of the factored input has difference above {threshold}"
+        )
+    return (p, e_big, *best)
 
 
 def _factored_min_pair(
@@ -506,10 +496,10 @@ def check_divisor_count_law(max_k: int, *, enumerate_up_to: int = 30) -> Verific
     return VerificationReport("divisor-count law for 3*2^k", tuple(records))
 
 
-def check_middle_pair_law(max_k: int, *, brute_up_to: int = 30) -> VerificationReport:
+def check_middle_pair_law(max_k: int) -> VerificationReport:
     """Adjudicate the minimal-gap law for 3 * 2**k.
 
-    For k up to brute_up_to the trial-division oracle recomputes the minimal
+    For k up to BRUTE_UP_TO the trial-division oracle recomputes the minimal
     gap and must match the constant-time middle pair. For every k the middle
     pair difference must equal 2^(ceil(k/2) - 1). The widely quoted exponent
     ceil(k/2) fails already at k = 4, where enumeration gives gap 2, so the
@@ -522,7 +512,7 @@ def check_middle_pair_law(max_k: int, *, brute_up_to: int = 30) -> VerificationR
         pair = middle_pair_3x2k(k)
         expected = 2 ** ((k + 1) // 2 - 1)
         ok = pair.difference == expected and pair.product == 3 * 2**k
-        if ok and k <= brute_up_to:
+        if ok and k <= BRUTE_UP_TO:
             ok = delta(3 * 2**k) == expected
         records.append(CheckRecord(k, ok, expected, pair.difference))
     notes = (

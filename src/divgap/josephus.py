@@ -81,8 +81,9 @@ def _labels(n: int) -> array:
     Bytes 0-1 of label i repeat every 65,536 labels, so one block of
     min(n, 65536) labels gets them from two bytearray stride assignments;
     each further block restamps byte 2 (and byte 3 when it changes) with the
-    block number and is appended whole. The planes are written little-endian
-    and byteswapped once on a big-endian host.
+    block number and is appended, the last one only up to label n - 1. The
+    planes are written little-endian and byteswapped once on a big-endian
+    host.
     """
     w = min(n, 1 << 16)
     block = bytearray(4 * w)
@@ -94,8 +95,8 @@ def _labels(n: int) -> array:
             block[2::4] = bytes((k & 255,)) * w
             if not k & 255:
                 block[3::4] = bytes((k >> 8,)) * w
-        cells.frombytes(block)
-    del cells[n:]
+        # a slice past the end is the whole block
+        cells.frombytes(memoryview(block)[: 4 * (n - k * w)])
     if sys.byteorder == "big":
         cells.byteswap()
     return cells

@@ -12,7 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from divgap.constants import c_digits, c_enclosure, relation_check
+from divgap.constants import c_enclosure, relation_check
 from divgap.divisors import (
     delta,
     delta_pair,
@@ -22,6 +22,7 @@ from divgap.divisors import (
     factorize,
     middle_pair_3x2k,
 )
+from divgap.intervals import render_digits
 from divgap.josephus import survivor_recurrence, survivor_simulation, survivor_via_ow
 from divgap.sequences import a_seq, b_closed_form, b_seq, verify_theorem
 
@@ -119,7 +120,7 @@ def test_criterion_5_growth_constant_digits():
         enc = c_enclosure(200)
         assert enc.width <= Fraction(1, 10**27)
         assert enc.lo <= enc.hi
-        cert = c_digits(200)
+        cert = render_digits(enc, 200)
         assert cert.decimal_prefix.startswith(C_REFERENCE_26)
         assert cert.certified_places >= 26
 

@@ -23,7 +23,6 @@ from divgap.constants import (
     K3_SCALE,
     _intersect_growth_constraints,
     _iterate_q3,
-    c_digits,
     c_enclosure,
     k3_enclosure,
     relation_check,
@@ -210,7 +209,7 @@ def test_render_digits_matches_the_reference_on_the_enclosures(n):
 
 
 def test_c_enclosure_digits_at_200_terms():
-    cert = c_digits(200)
+    cert = render_digits(c_enclosure(200), 200)
     assert cert.decimal_prefix == C_200
     assert cert.certified_places == 34
     assert cert.decimal_prefix.startswith(C_REFERENCE_26)
@@ -233,8 +232,9 @@ def test_c_enclosure_nesting():
 
 def test_c_enclosure_more_terms_certify_more_digits():
     for n in (300, 5000):
-        assert c_digits(n).decimal_prefix.startswith(C_200)
-        assert c_digits(n).certified_places >= 50
+        cert = render_digits(c_enclosure(n), n)
+        assert cert.decimal_prefix.startswith(C_200)
+        assert cert.certified_places >= 50
 
 
 def test_c_enclosure_validates():

@@ -5,7 +5,10 @@ route produces is checked against it, either directly or through the naive
 referee implementations defined at the top of this file. The trial-division
 kernels' former loops (an upward scan keeping the last qualifying divisor,
 and while loops stepping p * p <= rest) are kept verbatim below as the
-reference for the downward scan and the range loops that replaced them.
+reference for the downward scan and the range loops that replaced them. So
+is the factored walk's former search and merge (a binary search for each
+chain's square-root boundary, then a k-way merge of all chains in
+descending order), the reference for the per-chain walk.
 """
 
 import operator
@@ -25,8 +28,13 @@ from divgap.divisors import (
     ORACLE_BOUND,
     DivisorPair,
     Factorization,
+    _boundary_exponent,
+    _chain_split,
     _is_prime,
+    _le_scaled,
+    _min_gap_step,
     _oracle_min_pair,
+    _pow,
     check_divisor_count_law,
     check_middle_pair_law,
     delta,
@@ -138,6 +146,74 @@ def while_factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     return Factorization.from_mapping(found)
 
 
+def binary_search_boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
+    """Largest a in [0, e_big] with s * p**a <= c * p**(e_big - a), else -1.
+
+    That inequality says s * p**a is at most its complementary divisor, i.e.
+    at most the square root of the whole number.
+    """
+    if not _le_scaled(s, -e_big, c, p):
+        return -1
+    lo, hi = 0, e_big
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _le_scaled(s, 2 * mid - e_big, c, p):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def merged_small_side(p: int, e_big: int, chains: list[tuple[int, int]]):
+    """Yield (s, a, c) for every divisor s * p**a at most its complement,
+    in strictly decreasing order of value, without materializing any value.
+    """
+    active = []
+    for s, c in chains:
+        a = binary_search_boundary_exponent(s, c, p, e_big)
+        if a >= 0:
+            active.append([a, s, c])
+    while active:
+        best = 0
+        for i in range(1, len(active)):
+            a_i, s_i, _ = active[i]
+            a_b, s_b, _ = active[best]
+            if not _le_scaled(s_i, a_i - a_b, s_b, p):
+                best = i
+        a, s, c = active[best]
+        yield s, a, c
+        if a == 0:
+            active.pop(best)
+        else:
+            active[best][0] = a - 1
+
+
+def merged_min_gap_step(
+    f: Factorization, threshold: int | None, divisor_cap: int
+) -> tuple[int, int, int, int, int, int]:
+    """The minimal pair of f with difference above threshold, kept in pieces.
+
+    Returns (p, E, s, a, c, inner) for the pair s * p**a <= c * p**(E - a),
+    whose difference is p**min(a, E - a) * inner. Only inner is built: it is
+    c * p**(E - 2a) - s or c - s * p**(2a - E), and E - 2a stays near log_p T
+    close to the square root, so inner stays small however large E is.
+    """
+    # the empty factorization walks as 2**0 with the single chain (1, 1)
+    p, e_big, chains = _chain_split(f.pairs or ((2, 0),), divisor_cap)
+    # Walk down from the square root; the gap grows as the small side
+    # shrinks, so the first qualifying divisor gives the minimal gap.
+    for s, a, c in merged_small_side(p, e_big, chains):
+        k = e_big - 2 * a
+        inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
+        shared = min(a, e_big - a)
+        # inner is 0 only at an exact square root, where no threshold is met
+        if threshold is None or (inner and not _le_scaled(inner, shared, threshold, p)):
+            return p, e_big, s, a, c, inner
+    raise NoQualifyingPair(
+        f"no divisor pair of the factored input has difference above {threshold}"
+    )
+
+
 def outcome(fn, *args, **kwargs):
     """fn's result, or the type and message of the error it raised."""
     try:
@@ -179,6 +255,15 @@ def test_factorize_hints_unlock_smooth_giants():
     # the hinted primes leaves cofactor 1.
     f = factorize(3 * 2**5000, oracle_bound=10**6, hints=(2, 3))
     assert f.pairs == ((2, 5000), (3, 1))
+
+
+@pytest.mark.parametrize("hint", [1, 0, -1])
+def test_factorize_rejects_hints_below_two_at_once(hint):
+    # 1 and -1 used to divide out forever, 0 raised ZeroDivisionError
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="is not prime"):
+        factorize(12, hints=(hint,))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_factorize_hints_do_not_excuse_the_cofactor():
@@ -529,6 +614,95 @@ def test_factored_route_empty_factorization():
     assert delta(one) == 0
     with pytest.raises(NoQualifyingPair):
         delta_above(one, 0)
+
+
+# --- the per-chain walk against the search-and-merge reference ---
+
+WALK_PRIMES = (2, 3, 5, 7, 11)
+
+
+def test_boundary_exponent_matches_the_binary_search_exhaustively():
+    for p in (2, 3, 5):
+        for e_big in range(10):
+            for s in range(1, 41):
+                for c in range(1, 41):
+                    want = binary_search_boundary_exponent(s, c, p, e_big)
+                    assert _boundary_exponent(s, c, p, e_big) == want, (s, c, p, e_big)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.sampled_from(WALK_PRIMES),
+    st.one_of(st.integers(0, 60), st.integers(0, 10**300)),
+)
+def test_boundary_exponent_matches_the_binary_search(s, c, p, e_big):
+    assert _boundary_exponent(s, c, p, e_big) == binary_search_boundary_exponent(s, c, p, e_big)
+
+
+def walk_thresholds(m: int, rng: random.Random) -> list[int | None]:
+    """None, 0, 1, one random value, m - 2 and m - 1, the negative ones left out."""
+    return [None] + [t for t in (0, 1, rng.randint(0, m), m - 2, m - 1) if t >= 0]
+
+
+def assert_walks_agree(f: Factorization, thresholds) -> None:
+    for t in thresholds:
+        want = outcome(merged_min_gap_step, f, t, DIVISOR_CAP)
+        assert outcome(_min_gap_step, f, t, DIVISOR_CAP) == want, (f.pairs, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(WALK_PRIMES), st.integers(1, 5), max_size=5)
+    .filter(lambda mapping: Factorization.from_mapping(mapping).divisor_count() <= 800),
+    st.randoms(use_true_random=False),
+)
+def test_walk_matches_the_merge(mapping, rng):
+    f = Factorization.from_mapping(mapping)
+    assert_walks_agree(f, walk_thresholds(f.value(), rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from((3, 5, 7, 11, 13)), st.integers(1, 2), max_size=2),
+    st.integers(1, 200),
+    st.randoms(use_true_random=False),
+)
+def test_walk_matches_the_merge_on_a_long_chain(mapping, e_big, rng):
+    # 2**e_big outweighs the rest, so each chain is long and its boundary
+    # lands far from both ends
+    f = Factorization.from_mapping({2: e_big, **mapping})
+    assert_walks_agree(f, walk_thresholds(f.value(), rng))
+
+
+def test_walk_matches_the_merge_pinned():
+    rng = random.Random(12)
+    shapes = [
+        (),  # 1, the single chain (1, 1)
+        ((2, 2),),
+        ((7, 2),),
+        ((2, 2), (3, 2)),
+        ((2, 40),),
+        ((2, 2), (3, 2), (5, 2), (7, 2)),
+        ((2, 30), (3, 30)),
+        ((2, 7), (3, 7), (5, 7)),
+        ((2, 60), (3, 2), (5, 1)),
+        ((2, 1), (3, 50)),
+        ((11, 25),),
+    ]
+    for pairs in shapes:
+        f = Factorization(pairs)
+        assert_walks_agree(f, walk_thresholds(f.value(), rng))
+
+
+def test_walk_matches_the_merge_on_the_sequence_products():
+    # the partial products 3 * 2^(2 + b(1) + ... + b(n-1)) up to n = 400, at
+    # the sequence's threshold 1 and at the square root
+    b = b_seq(400).terms
+    for n in range(1, 401):
+        f = Factorization.from_mapping({2: 2 + sum(b[: n - 1]), 3: 1})
+        assert_walks_agree(f, (None, 1))
 
 
 # --- the minimal gap as a factorization ---

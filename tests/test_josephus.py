@@ -204,6 +204,9 @@ def test_simulation_memory_at_a_million():
 def test_simulation_memory_holds_one_column():
     # one 4 MB column of labels; two_column_simulation peaked at 7.7 MB
     assert simulation_peak(10**6, 2) < 6 * 2**20
+    # a 0.25 MB column and the 0.25 MB template block; appending the last
+    # block whole and trimming it afterwards peaked at 0.78 MB
+    assert simulation_peak(65537, 2) < 0.75 * 2**20
 
 
 def test_q2_closed_form():
