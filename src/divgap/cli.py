@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import (
@@ -32,7 +31,6 @@ from .divisors import (
     divisor_count,
     divisor_list_factored,
     factorize,
-    middle_pair_3x2k,
 )
 from .errors import EXIT_FINDING, DivgapError, InsufficientPrecision, ResourceLimit
 from .intervals import decimal_str, render_digits
@@ -60,21 +58,6 @@ DIGIT_PRINT_LIMIT = 10**6
 # namespace entries that select the command or output mode rather than echo
 # a request parameter
 _NOT_PARAMETERS = ("command", "json", "bfile", "handler")
-
-
-@dataclass
-class Outcome:
-    result: dict
-    plain: list[str]
-    ok: bool = True
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.ok else "finding"
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_OK if self.ok else EXIT_FINDING
 
 
 def _jsonable(x):
@@ -109,9 +92,13 @@ def _envelope(args, result, status) -> dict:
 
 
 # --- subcommand handlers ---
+#
+# Each returns (result, lines, ok): the --json result, the plain lines, and
+# whether the run found what it checks for; run() maps ok to the status and
+# the exit code.
 
 
-def _cmd_seq(args) -> Outcome:
+def _cmd_seq(args) -> tuple[dict, list[str], bool]:
     if args.which == "a":
         rep = a_seq(args.max, args.path, oracle_bound=args.oracle_bound)
     else:
@@ -127,17 +114,18 @@ def _cmd_seq(args) -> Outcome:
                 f"digits, above the print limit {args.digit_limit}; "
                 "raise it with --digit-limit"
             )
-    lines = [f"{i} {decimal_str(t)}" for i, t in enumerate(rep, start=rep.start_index)]
+    digits = [decimal_str(t) for t in rep]
+    lines = [f"{i} {d}" for i, d in enumerate(digits, start=rep.start_index)]
     result = {
         "name": rep.name,
         "start_index": rep.start_index,
         "path": rep.path,
-        "terms": rep.terms,
+        "terms": digits,
     }
-    return Outcome(result, lines)
+    return result, lines, True
 
 
-def _cmd_delta(args) -> Outcome:
+def _cmd_delta(args) -> tuple[dict, list[str], bool]:
     if args.above is not None:
         pair = delta_above(args.m, args.above, oracle_bound=args.oracle_bound)
     else:
@@ -149,20 +137,20 @@ def _cmd_delta(args) -> Outcome:
         "small": pair.small,
         "large": pair.large,
     }
-    return Outcome(result, [f"{pair.difference} (pair {pair.small} {pair.large})"])
+    return result, [f"{pair.difference} (pair {pair.small} {pair.large})"], True
 
 
-def _cmd_divisors(args) -> Outcome:
+def _cmd_divisors(args) -> tuple[dict, list[str], bool]:
     f = factorize(args.m, oracle_bound=args.oracle_bound)
     count = divisor_count(f)
     if args.count_only:
-        return Outcome({"m": args.m, "count": count}, [str(count)])
+        return {"m": args.m, "count": count}, [str(count)], True
     divs = divisor_list_factored(f, divisor_cap=args.divisor_cap)
     result = {"m": args.m, "count": count, "divisors": divs}
-    return Outcome(result, [" ".join(str(d) for d in divs)])
+    return result, [" ".join(str(d) for d in divs)], True
 
 
-def _cmd_theorem(args) -> Outcome:
+def _cmd_theorem(args) -> tuple[dict, list[str], bool]:
     rep = verify_theorem(args.max, args.path, oracle_bound=args.oracle_bound)
     lines = [
         f"n={r.index} gap=2^{decimal_str(r.actual) if r.actual is not None else '?'} "
@@ -183,10 +171,10 @@ def _cmd_theorem(args) -> Outcome:
             for r in rep.failures
         ],
     }
-    return Outcome(result, lines, ok=rep.all_passed)
+    return result, lines, rep.all_passed
 
 
-def _cmd_lemma(args) -> Outcome:
+def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
     if args.which == "1":
         rep = check_divisor_count_law(args.max_k)
         summary = f"divisor count of 3*2^k equals 2k+2 for k=1..{args.max_k}"
@@ -213,10 +201,10 @@ def _cmd_lemma(args) -> Outcome:
         ],
         "notes": list(rep.notes),
     }
-    return Outcome(result, lines, ok=rep.all_passed)
+    return result, lines, rep.all_passed
 
 
-def _cmd_josephus(args) -> Outcome:
+def _cmd_josephus(args) -> tuple[dict, list[str], bool]:
     runs = []
     if args.algo in ("recurrence", "all"):
         runs.append(survivor_recurrence(args.n, args.q))
@@ -234,10 +222,10 @@ def _cmd_josephus(args) -> Outcome:
         "results": [{"algorithm": r.algorithm, "survivor": r.survivor} for r in runs],
         "agree": agree,
     }
-    return Outcome(result, lines, ok=agree)
+    return result, lines, agree
 
 
-def _cmd_constants(args) -> Outcome:
+def _cmd_constants(args) -> tuple[dict, list[str], bool]:
     enclosure = c_enclosure if args.which == "c" else k3_enclosure
     iv = enclosure(args.terms)
     cert = render_digits(iv, args.digits or args.terms)
@@ -251,10 +239,10 @@ def _cmd_constants(args) -> Outcome:
         "decimal_prefix": cert.decimal_prefix,
         "certified_places": cert.certified_places,
     }
-    return Outcome(result, lines)
+    return result, lines, True
 
 
-def _cmd_verify(args) -> Outcome:
+def _cmd_verify(args) -> tuple[dict, list[str], bool]:
     rel = relation_check(args.terms)
     if rel.overlap and rel.agreeing_places < args.min_places:
         raise InsufficientPrecision(
@@ -276,7 +264,7 @@ def _cmd_verify(args) -> Outcome:
         "k3_scaled": {"lo": rel.k3_scaled_interval.lo, "hi": rel.k3_scaled_interval.hi},
         "passed": passed,
     }
-    return Outcome(result, lines, ok=passed)
+    return result, lines, passed
 
 
 # --- full reproduction ---
@@ -350,9 +338,7 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
     d48 = delta(48)
     rows.append(_row("minimal divisor gap of 48", "2", str(d48), d48 == 2))
 
-    corrected = all(
-        middle_pair_3x2k(k).difference == 2 ** ((k + 1) // 2 - 1) for k in range(1, 1001)
-    )
+    corrected = check_middle_pair_law(1000).all_passed
     rows.append(_row(
         "middle-pair gap exponent for 3*2^k, k=1..1000",
         "2^ceil(k/2)", "2^(ceil(k/2) - 1)", corrected, finding=corrected,
@@ -377,7 +363,7 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
     return rows, all_ok
 
 
-def _cmd_reproduce(args) -> Outcome:
+def _cmd_reproduce(args) -> tuple[dict, list[str], bool]:
     rows, all_ok = reproduce(args.fast_only, args.terms)
     widths = (
         max(len(r["claim"]) for r in rows),
@@ -394,7 +380,7 @@ def _cmd_reproduce(args) -> Outcome:
     fails = sum(r["verdict"] == "FAIL" for r in rows)
     lines.append(f"{passes} pass, {findings} flagged finding(s), {fails} fail")
     result = {"fast_only": args.fast_only, "terms": args.terms, "rows": rows, "all_ok": all_ok}
-    return Outcome(result, lines, ok=all_ok)
+    return result, lines, all_ok
 
 
 # --- parser and entry points ---
@@ -549,17 +535,17 @@ def run(argv=None) -> int:
         print("error: --bfile applies only to seq", file=sys.stderr)
         return EXIT_USAGE
     try:
-        out = args.handler(args)
+        result, lines, ok = args.handler(args)
     except DivgapError as exc:
         return _emit_failure(args, exc, exc.status, exc.exit_code)
     except ValueError as exc:
         return _emit_failure(args, exc, "error", EXIT_USAGE)
     if args.json:
-        print(json.dumps(_envelope(args, out.result, out.status)))
+        print(json.dumps(_envelope(args, result, "ok" if ok else "finding")))
     else:
-        for line in out.plain:
+        for line in lines:
             print(line)
-    return out.exit_code
+    return EXIT_OK if ok else EXIT_FINDING
 
 
 def main() -> None:

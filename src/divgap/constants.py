@@ -11,7 +11,7 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EmptyIntersection
@@ -98,14 +98,11 @@ def k3_enclosure(n_terms: int) -> RationalInterval:
     return RationalInterval(Fraction(e << n_terms, den), Fraction((e + 2) << n_terms, den))
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(namedtuple("RelationReport",
+                                "c_interval k3_scaled_interval overlap agreeing_places")):
     """Comparison of the growth constant against (2/9) times the game constant."""
 
-    c_interval: RationalInterval
-    k3_scaled_interval: RationalInterval
-    overlap: bool
-    agreeing_places: int
+    __slots__ = ()
 
 
 def relation_check(n_terms: int) -> RelationReport:

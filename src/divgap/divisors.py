@@ -10,7 +10,7 @@ the test surface, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit, brief
@@ -40,8 +40,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "pairs")):
     """Prime factorization as an ordered tuple of (prime, exponent) pairs.
 
     The empty tuple represents 1. Primes must be strictly increasing with
@@ -51,11 +50,11 @@ class Factorization:
     and skip that check.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {last}")
             if e < 1:
@@ -63,6 +62,7 @@ class Factorization:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
+        return tuple.__new__(cls, (pairs,))
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, int]) -> Factorization:
@@ -71,9 +71,7 @@ class Factorization:
     @classmethod
     def _proven(cls, mapping: dict[int, int]) -> Factorization:
         """from_mapping for primes already proven, without proving them again."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "pairs", tuple(sorted(mapping.items())))
-        return f
+        return tuple.__new__(cls, (tuple(sorted(mapping.items())),))
 
     def value(self) -> int:
         m = 1
@@ -94,16 +92,15 @@ class Factorization:
         return Factorization._proven(merged)
 
 
-@dataclass(frozen=True)
-class DivisorPair:
+class DivisorPair(namedtuple("DivisorPair", "small large")):
     """A complementary divisor pair d, m/d with small <= large."""
 
-    small: int
-    large: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.small <= self.large:
-            raise ValueError(f"need 1 <= small <= large, got ({self.small}, {self.large})")
+    def __new__(cls, small: int, large: int):
+        if not 1 <= small <= large:
+            raise ValueError(f"need 1 <= small <= large, got ({small}, {large})")
+        return tuple.__new__(cls, (small, large))
 
     @property
     def difference(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import decimal
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # Integers up to this many bits render through int.__str__, which is
@@ -45,18 +45,16 @@ def decimal_str(n: int) -> str:
     return str(build(n, n.bit_length()))
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(namedtuple("RationalInterval", "lo hi")):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    def __new__(cls, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> Fraction:
@@ -86,16 +84,14 @@ class RationalInterval:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
 
-@dataclass(frozen=True)
-class DigitCertificate:
+class DigitCertificate(namedtuple("DigitCertificate", "decimal_prefix certified_places")):
     """A decimal prefix every member of an interval shares.
 
     decimal_prefix is empty when even the integer parts disagree; otherwise
     it carries the integer part and exactly certified_places decimals.
     """
 
-    decimal_prefix: str
-    certified_places: int
+    __slots__ = ()
 
 
 def render_digits(iv: RationalInterval, max_places: int) -> DigitCertificate:

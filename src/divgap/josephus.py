@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimit, SimulationCapExceeded, brief
 
@@ -26,16 +26,13 @@ MOVE_LIMIT = 10**10
 STEP_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class SurvivorResult:
-    n: int
-    q: int
-    survivor: int
-    algorithm: str
+class SurvivorResult(namedtuple("SurvivorResult", "n q survivor algorithm")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.survivor <= self.n:
-            raise ValueError(f"survivor {self.survivor} outside 1..{self.n}")
+    def __new__(cls, n: int, q: int, survivor: int, algorithm: str):
+        if not 1 <= survivor <= n:
+            raise ValueError(f"survivor {survivor} outside 1..{n}")
+        return tuple.__new__(cls, (n, q, survivor, algorithm))
 
 
 def _validate(n: int, q: int) -> None:

@@ -2,26 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "index passed expected actual", defaults=(None, None))):
     """Outcome of one indexed check; expected/actual carry the counterexample."""
 
-    index: int
-    passed: bool
-    expected: object = None
-    actual: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "name records notes", defaults=((),))):
     """A named batch of indexed checks plus free-form notes (flagged findings)."""
 
-    name: str
-    records: tuple[CheckRecord, ...]
-    notes: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -9,7 +9,6 @@ gaps from the divisor definition and checks that identity index by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -29,7 +28,6 @@ A_PATHS = ("oracle", "factored")
 CROSS_CHECK_BOUND = 1 << 20
 
 
-@dataclass(frozen=True)
 class SequenceReport:
     """A computed sequence prefix with the path that produced it.
 
@@ -39,11 +37,15 @@ class SequenceReport:
     when the range is large.
     """
 
-    name: str
-    start_index: int
-    path: str
-    prefix: tuple[int, ...]
-    exponents: tuple[int, ...] = field(default=())
+    __slots__ = ("name", "start_index", "path", "prefix", "exponents")
+
+    def __init__(self, name: str, start_index: int, path: str,
+                 prefix: tuple[int, ...], exponents: tuple[int, ...] = ()):
+        self.name = name
+        self.start_index = start_index
+        self.path = path
+        self.prefix = prefix
+        self.exponents = exponents
 
     def __len__(self) -> int:
         return len(self.prefix) + len(self.exponents)

@@ -6,10 +6,12 @@ shell user sees them. Golden outputs are byte-exact.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,34 @@ def test_envelope_big_integers_are_decimal_strings():
     assert terms[:4] == ["4", "3", "4", "2"]
     # a late term only a bigint could hold survives the round trip
     assert int(terms[12]) == 1 << 47
+
+
+@pytest.mark.parametrize("which, last", [("a", "30"), ("b", "300")])
+def test_seq_json_terms_match_the_plain_lines(which, last):
+    from divgap.intervals import SPLIT_BITS
+
+    plain = run_cli("seq", which, "--max", last).stdout.splitlines()
+    _, payload = envelope("seq", which, "--max", last)
+    terms = dict(dict(payload)["result"])["terms"]
+    assert terms == [line.split()[1] for line in plain]
+    if which == "a":
+        # the last gap term renders through decimal_str's split path
+        assert len(terms[-1]) > SPLIT_BITS * 30103 // 100000 + 1
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    import divgap
+
+    code = (
+        "import sys, divgap, divgap.cli; divgap.cli.build_parser(); "
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    # -S: no site, so nothing a site hook preloads can hide an import
+    env = {**os.environ, "PYTHONPATH": str(Path(divgap.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_envelope_round_trips():
