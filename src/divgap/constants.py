@@ -12,11 +12,12 @@ anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import EmptyIntersection
 from .intervals import RationalInterval, render_digits
-from .sequences import b_seq
+from .sequences import b_terms
 
 DEFAULT_TERMS = 200
 K3_SCALE = Fraction(2, 9)
@@ -48,7 +49,7 @@ def _iterate_q3(seed: int, count: int) -> int:
     return _steps(x, (count - 1) & 7)
 
 
-def _intersect_growth_constraints(terms: list[int]) -> RationalInterval:
+def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
     """Intersect the per-index constraints ((b - 1/2), (b + 1/2)] * (2/3)^n.
 
     Constraint n is [(2b - 1) * 2^(n-1), (2b + 1) * 2^(n-1)] / 3^n, so the
@@ -59,17 +60,19 @@ def _intersect_growth_constraints(terms: list[int]) -> RationalInterval:
 
     An empty running intersection would falsify the ceiling closed form for
     the supplied terms, so it aborts with the first violating index instead
-    of clamping.
+    of clamping. The terms are read once, in order, and not kept.
     """
-    lo, hi = 2 * terms[0] - 1, 2 * terms[0] + 1
-    for n, b in enumerate(terms[1:], start=2):
+    terms = iter(terms)
+    b = next(terms)
+    lo, hi, n = 2 * b - 1, 2 * b + 1, 1
+    for n, b in enumerate(terms, start=2):
         lo = max(3 * lo, (2 * b - 1) << (n - 1))
         hi = min(3 * hi, (2 * b + 1) << (n - 1))
         if lo > hi:
             raise EmptyIntersection(
                 f"constraint {n} (term {b}) empties the intersection", index=n
             )
-    den = 3 ** len(terms)
+    den = 3**n
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
@@ -81,7 +84,7 @@ def c_enclosure(n_terms: int) -> RationalInterval:
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
-    return _intersect_growth_constraints(b_seq(n_terms).terms)
+    return _intersect_growth_constraints(b_terms(n_terms))
 
 
 def k3_enclosure(n_terms: int) -> RationalInterval:

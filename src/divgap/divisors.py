@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit, brief
-from .report import CheckRecord, VerificationReport
+from .report import CheckedRecord, CheckRecord, VerificationReport
 
 # Trial division stays interactive up to here. Its worst case is a prime m:
 # the oracle's downward scan from isqrt(m) then makes all 10^7 probes and
@@ -40,7 +40,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Factorization(namedtuple("Factorization", "pairs")):
+class Factorization(CheckedRecord, namedtuple("Factorization", "pairs")):
     """Prime factorization as an ordered tuple of (prime, exponent) pairs.
 
     The empty tuple represents 1. Primes must be strictly increasing with
@@ -92,7 +92,7 @@ class Factorization(namedtuple("Factorization", "pairs")):
         return Factorization._proven(merged)
 
 
-class DivisorPair(namedtuple("DivisorPair", "small large")):
+class DivisorPair(CheckedRecord, namedtuple("DivisorPair", "small large")):
     """A complementary divisor pair d, m/d with small <= large."""
 
     __slots__ = ()
@@ -109,6 +109,15 @@ class DivisorPair(namedtuple("DivisorPair", "small large")):
     @property
     def product(self) -> int:
         return self.small * self.large
+
+
+def _check_bound(n: int, bound: int, named: str, instead: str) -> None:
+    """Raise OracleBoundExceeded, naming n as named.format(brief(n)), when n > bound."""
+    if n > bound:
+        raise OracleBoundExceeded(
+            f"{named.format(brief(n))} exceeds the trial-division bound {bound}; "
+            f"raise it with --oracle-bound or {instead}"
+        )
 
 
 def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
@@ -133,11 +142,7 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     # a hint is the caller's claim, so each one that divided m is proven; the
     # primes found below are proven by the scan that finds them
     Factorization.from_mapping(found)
-    if rest > oracle_bound:
-        raise OracleBoundExceeded(
-            f"unfactored part {brief(rest)} of m exceeds the trial-division bound {oracle_bound}; "
-            "raise it with --oracle-bound or supply a Factorization"
-        )
+    _check_bound(rest, oracle_bound, "unfactored part {} of m", "supply a Factorization")
     if rest % 2 == 0:
         rest, e = _divide_out(rest, 2)
         found[2] = found.get(2, 0) + e
@@ -170,15 +175,11 @@ def _divide_out(rest: int, p: int) -> tuple[int, int]:
     return rest, e
 
 
-def divisor_list(m: int, *, oracle_bound: int = ORACLE_BOUND) -> list[int]:
+def divisor_list(m: int) -> list[int]:
     """All divisors of m in increasing order, by trial division up to isqrt(m)."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if m > oracle_bound:
-        raise OracleBoundExceeded(
-            f"m={brief(m)} exceeds the trial-division bound {oracle_bound}; "
-            "raise it with --oracle-bound or use divisor_list_factored"
-        )
+    _check_bound(m, ORACLE_BOUND, "m={}", "use divisor_list_factored")
     small, large = [], []
     for d in range(1, isqrt(m) + 1):
         if m % d == 0:
@@ -227,11 +228,7 @@ def divisor_count(f: Factorization) -> int:
 
 
 def _oracle_min_pair(m: int, threshold: int | None, oracle_bound: int) -> DivisorPair:
-    if m > oracle_bound:
-        raise OracleBoundExceeded(
-            f"m={brief(m)} exceeds the trial-division bound {oracle_bound}; "
-            "raise it with --oracle-bound or pass a Factorization"
-        )
+    _check_bound(m, oracle_bound, "m={}", "pass a Factorization")
     # For d | m the gap m/d - d exceeds t exactly when d * (d + t) < m, that
     # is (2d + t)**2 <= t*t + 4m - 1, and it strictly decreases as d grows;
     # so scanning down from the largest such d, the first divisor has the
@@ -294,14 +291,13 @@ def _le_scaled(s: int, k: int, t: int, p: int) -> bool:
     return s <= t * p ** (-k)
 
 
-def _chain_split(
-    pairs: tuple[tuple[int, int], ...], divisor_cap: int
-) -> tuple[int, int, list[tuple[int, int]]]:
+def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tuple[int, int]]]:
     """Split a factorization into p**E times a coprime part T.
 
     Returns (p, E, chains) where p carries the largest exponent and chains
     lists (s, T // s) over every divisor s of T. The chain count equals the
-    divisor count of T, so it is capped like any other materialization.
+    divisor count of T, so it is capped at DIVISOR_CAP like any other
+    materialization.
     """
     ordered = sorted(pairs, key=lambda pe: pe[1])
     p, e_big = ordered[-1]
@@ -309,10 +305,10 @@ def _chain_split(
     count = 1
     for _, e in rest:
         count *= e + 1
-    if count > divisor_cap:
+    if count > DIVISOR_CAP:
         raise ResourceLimit(
             f"the part coprime to {p} has {count} divisors, above the cap "
-            f"{divisor_cap}; raise it with --divisor-cap"
+            f"{DIVISOR_CAP}; raise it with --divisor-cap"
         )
     small = _divisors_unsorted(rest)
     total = small[-1]
@@ -335,9 +331,7 @@ def _boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
     return max(-1, min(e_big, (e_big + k) // 2))
 
 
-def _min_gap_step(
-    f: Factorization, threshold: int | None, divisor_cap: int
-) -> tuple[int, int, int, int, int, int]:
+def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, int, int, int, int]:
     """The minimal pair of f with difference above threshold, kept in pieces.
 
     Returns (p, E, s, a, c, inner) for the pair s * p**a <= c * p**(E - a),
@@ -346,7 +340,7 @@ def _min_gap_step(
     close to the square root, so inner stays small however large E is.
     """
     # the empty factorization walks as 2**0 with the single chain (1, 1)
-    p, e_big, chains = _chain_split(f.pairs or ((2, 0),), divisor_cap)
+    p, e_big, chains = _chain_split(f.pairs or ((2, 0),))
     # The gap strictly grows as the small side shrinks, so the qualifying
     # divisors are exactly those up to one bound. Each chain steps down from
     # its square-root boundary to its largest qualifying divisor, and the
@@ -372,46 +366,36 @@ def _min_gap_step(
     return (p, e_big, *best)
 
 
-def _factored_min_pair(
-    f: Factorization, threshold: int | None, divisor_cap: int
-) -> DivisorPair:
-    p, e_big, s, a, c, _ = _min_gap_step(f, threshold, divisor_cap)
-    return DivisorPair(s * _pow(p, a), c * _pow(p, e_big - a))
-
-
 # --- public gap interface ---
 
 
-def delta_pair(
-    m: int | Factorization,
-    *,
-    oracle_bound: int = ORACLE_BOUND,
-    divisor_cap: int = DIVISOR_CAP,
-) -> DivisorPair:
-    """The divisor pair of m with the smallest difference."""
+def _min_pair(m: int | Factorization, threshold: int | None, oracle_bound: int) -> DivisorPair:
+    """The minimal pair of m with difference above threshold (None: any pair).
+
+    An int goes to the trial-division oracle, a Factorization to the walk.
+    """
     if isinstance(m, Factorization):
-        return _factored_min_pair(m, None, divisor_cap)
-    if m < 1:
+        p, e_big, s, a, c, _ = _min_gap_step(m, threshold)
+        return DivisorPair(s * _pow(p, a), c * _pow(p, e_big - a))
+    if threshold is None and m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    return _oracle_min_pair(m, None, oracle_bound)
+    if threshold is not None and m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    return _oracle_min_pair(m, threshold, oracle_bound)
 
 
-def delta(
-    m: int | Factorization,
-    *,
-    oracle_bound: int = ORACLE_BOUND,
-    divisor_cap: int = DIVISOR_CAP,
-) -> int:
+def delta_pair(m: int | Factorization, *, oracle_bound: int = ORACLE_BOUND) -> DivisorPair:
+    """The divisor pair of m with the smallest difference."""
+    return _min_pair(m, None, oracle_bound)
+
+
+def delta(m: int | Factorization) -> int:
     """Minimal |d - m/d| over divisors d; zero exactly for perfect squares."""
-    return delta_pair(m, oracle_bound=oracle_bound, divisor_cap=divisor_cap).difference
+    return delta_pair(m).difference
 
 
 def delta_above(
-    m: int | Factorization,
-    threshold: int,
-    *,
-    oracle_bound: int = ORACLE_BOUND,
-    divisor_cap: int = DIVISOR_CAP,
+    m: int | Factorization, threshold: int, *, oracle_bound: int = ORACLE_BOUND
 ) -> DivisorPair:
     """The divisor pair whose difference is minimal among those above threshold.
 
@@ -421,11 +405,7 @@ def delta_above(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if isinstance(m, Factorization):
-        return _factored_min_pair(m, threshold, divisor_cap)
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    return _oracle_min_pair(m, threshold, oracle_bound)
+    return _min_pair(m, threshold, oracle_bound)
 
 
 def gap_factorization(
@@ -443,7 +423,7 @@ def gap_factorization(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    p, e_big, _, a, _, inner = _min_gap_step(f, threshold, DIVISOR_CAP)
+    p, e_big, _, a, _, inner = _min_gap_step(f, threshold)
     rest = factorize(inner, oracle_bound=oracle_bound, hints=tuple(q for q, _ in f.pairs))
     shared = min(a, e_big - a)
     return rest.multiply(Factorization(((p, shared),))) if shared else rest

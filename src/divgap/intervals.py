@@ -13,6 +13,8 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
+from .report import CheckedRecord
+
 # Integers up to this many bits render through int.__str__, which is
 # quadratic in CPython; larger ones are split in halves and rebuilt in
 # libmpdec, whose multiplication is subquadratic. The split size stays far
@@ -45,7 +47,7 @@ def decimal_str(n: int) -> str:
     return str(build(n, n.bit_length()))
 
 
-class RationalInterval(namedtuple("RationalInterval", "lo hi")):
+class RationalInterval(CheckedRecord, namedtuple("RationalInterval", "lo hi")):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
     __slots__ = ()

@@ -15,6 +15,7 @@ from array import array
 from collections import namedtuple
 
 from .errors import ResourceLimit, SimulationCapExceeded, brief
+from .report import CheckedRecord
 
 SIMULATION_CAP = 10**6
 # most array entries survivor_simulation's lap deletions may be predicted to
@@ -26,7 +27,7 @@ MOVE_LIMIT = 10**10
 STEP_LIMIT = 10**6
 
 
-class SurvivorResult(namedtuple("SurvivorResult", "n q survivor algorithm")):
+class SurvivorResult(CheckedRecord, namedtuple("SurvivorResult", "n q survivor algorithm")):
     __slots__ = ()
 
     def __new__(cls, n: int, q: int, survivor: int, algorithm: str):

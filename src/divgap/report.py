@@ -1,8 +1,23 @@
-"""Per-index verification records returned by the checking suites."""
+"""Per-index verification records returned by the checking suites, and the
+base of every record whose constructor checks its fields."""
 
 from __future__ import annotations
 
 from collections import namedtuple
+
+
+class CheckedRecord:
+    """Base of a named-tuple record whose __new__ checks its fields.
+
+    namedtuple's _make, and _replace through it, build with tuple.__new__ and
+    would skip that check; here they go through the constructor.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class CheckRecord(namedtuple("CheckRecord", "index passed expected actual", defaults=(None, None))):

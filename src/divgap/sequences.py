@@ -9,8 +9,9 @@ gaps from the divisor definition and checks that identity index by index.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 
 from .divisors import (
     ORACLE_BOUND,
@@ -31,56 +32,47 @@ CROSS_CHECK_BOUND = 1 << 20
 class SequenceReport:
     """A computed sequence prefix with the path that produced it.
 
-    The factored path holds its closing run of power-of-two terms as
-    exponents, turned into 2**e only when read; a term near index 60
-    already needs megabytes, so iterate or index instead of materializing
-    when the range is large.
+    Term n is held as the record (odd, e) with term = odd * 2**e, turned into
+    an integer only when read; a factored gap term near index 60 already
+    needs megabytes, so iterate or index instead of materializing when the
+    range is large.
     """
 
-    __slots__ = ("name", "start_index", "path", "prefix", "exponents")
+    __slots__ = ("name", "start_index", "path", "records")
 
     def __init__(self, name: str, start_index: int, path: str,
-                 prefix: tuple[int, ...], exponents: tuple[int, ...] = ()):
+                 records: tuple[tuple[int, int], ...]):
         self.name = name
         self.start_index = start_index
         self.path = path
-        self.prefix = prefix
-        self.exponents = exponents
+        self.records = records
 
     def __len__(self) -> int:
-        return len(self.prefix) + len(self.exponents)
+        return len(self.records)
 
-    def _offset(self, n: int) -> int:
+    def _record(self, n: int) -> tuple[int, int]:
         i = n - self.start_index
         if not 0 <= i < len(self):
             raise IndexError(f"index {n} outside [{self.start_index}, {self.last_index}]")
-        return i
+        return self.records[i]
 
     def term(self, n: int) -> int:
-        i = self._offset(n)
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return 1 << self.exponents[i - len(self.prefix)]
+        odd, e = self._record(n)
+        return odd << e
 
     def term_bits(self, n: int) -> int:
         """Bit length of term n without materializing it."""
-        i = self._offset(n)
-        if i < len(self.prefix):
-            return self.prefix[i].bit_length()
-        return self.exponents[i - len(self.prefix)] + 1
+        odd, e = self._record(n)
+        return odd.bit_length() + e
 
     def two_exponent(self, n: int) -> int | None:
         """e when term n is exactly 2**e, else None; never materializes."""
-        i = self._offset(n)
-        if i >= len(self.prefix):
-            return self.exponents[i - len(self.prefix)]
-        t = self.prefix[i]
-        return t.bit_length() - 1 if t & (t - 1) == 0 else None
+        odd, e = self._record(n)
+        return e if odd == 1 else None
 
     def __iter__(self):
-        yield from self.prefix
-        for e in self.exponents:
-            yield 1 << e
+        for odd, e in self.records:
+            yield odd << e
 
     @property
     def last_index(self) -> int:
@@ -91,17 +83,26 @@ class SequenceReport:
         return list(self)
 
 
+def _odd_record(t: int) -> tuple[int, int]:
+    """(odd, e) with t = odd * 2**e, for t >= 1."""
+    e = (t & -t).bit_length() - 1
+    return t >> e, e
+
+
+def b_terms(n_max: int) -> Iterator[int]:
+    """b(1), ..., b(n_max) of the half-sum ceiling recurrence, one at a time."""
+    t = s = 1
+    for _ in range(n_max):
+        yield t
+        t = (s + 1) // 2
+        s += t
+
+
 def b_seq(n_max: int) -> SequenceReport:
     """Indices 1..n_max of the half-sum ceiling recurrence."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    terms = [1]
-    s = 1
-    for _ in range(n_max - 1):
-        t = (s + 1) // 2
-        terms.append(t)
-        s += t
-    return SequenceReport("b", 1, "recurrence", tuple(terms))
+    return SequenceReport("b", 1, "recurrence", tuple(map(_odd_record, b_terms(n_max))))
 
 
 def _a_seq_oracle(n_max: int, oracle_bound: int) -> SequenceReport:
@@ -111,28 +112,20 @@ def _a_seq_oracle(n_max: int, oracle_bound: int) -> SequenceReport:
         a = delta_above(p, 1, oracle_bound=oracle_bound).difference
         terms.append(a)
         p *= a
-    return SequenceReport("a", 0, "oracle", tuple(terms))
+    return SequenceReport("a", 0, "oracle", tuple(map(_odd_record, terms)))
 
 
 def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
     # Each gap comes out of the walk already factored, so the product is
-    # extended by exponent arithmetic and no term is ever materialized.
-    terms = [Factorization(((2, 2),))]
-    product = terms[0]
+    # extended by exponent arithmetic, and a term's record keeps its power
+    # of two as an exponent: no term is ever materialized.
+    product = Factorization(((2, 2),))
+    records = [(1, 2)]
     for _ in range(n_max):
         gap = gap_factorization(product, 1, oracle_bound=oracle_bound)
-        terms.append(gap)
+        records.append((prod(p**e for p, e in gap.pairs if p != 2), dict(gap.pairs).get(2, 0)))
         product = product.multiply(gap)
-    # the closing run of powers of two stays in exponent form; a term is
-    # counted only when its own factorization says so
-    exponents = []
-    for f in reversed(terms):
-        e = dict(f.pairs).get(2, 0)
-        if f.pairs not in ((), ((2, e),)):
-            break
-        exponents.append(e)
-    prefix = tuple(f.value() for f in terms[: len(terms) - len(exponents)])
-    return SequenceReport("a", 0, "factored", prefix, tuple(reversed(exponents)))
+    return SequenceReport("a", 0, "factored", tuple(records))
 
 
 def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> SequenceReport:
@@ -141,8 +134,8 @@ def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUN
     oracle: products as plain integers, gaps by trial division (honest up to
     index 10 with the default bound). factored: products and gaps as
     factorizations, gaps by the descending divisor walk in exponent space;
-    no integer of the terms' size is built, so it reaches the hundreds, and a
-    term becomes an exponent only when its factorization is a power of two.
+    no integer of the terms' size is built, so it reaches the hundreds, and
+    each term's power of two stays an exponent until the term is read.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")

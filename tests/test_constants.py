@@ -10,6 +10,7 @@ the library's eight-step jumps.
 """
 
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,18 @@ def test_c_enclosure_reports_first_violation():
     with pytest.raises(EmptyIntersection) as info:
         _intersect_growth_constraints([1, 100])
     assert info.value.index == 2
+
+
+def test_c_enclosure_streams_the_recurrence():
+    # the terms reach the intersection one at a time and are not kept; held
+    # as a list, 20,000 of them peak near 16 MiB
+    tracemalloc.start()
+    try:
+        c_enclosure(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _fraction_intersection(terms: list[int]) -> RationalInterval:

@@ -189,7 +189,7 @@ def merged_small_side(p: int, e_big: int, chains: list[tuple[int, int]]):
 
 
 def merged_min_gap_step(
-    f: Factorization, threshold: int | None, divisor_cap: int
+    f: Factorization, threshold: int | None
 ) -> tuple[int, int, int, int, int, int]:
     """The minimal pair of f with difference above threshold, kept in pieces.
 
@@ -199,7 +199,7 @@ def merged_min_gap_step(
     close to the square root, so inner stays small however large E is.
     """
     # the empty factorization walks as 2**0 with the single chain (1, 1)
-    p, e_big, chains = _chain_split(f.pairs or ((2, 0),), divisor_cap)
+    p, e_big, chains = _chain_split(f.pairs or ((2, 0),))
     # Walk down from the square root; the gap grows as the small side
     # shrinks, so the first qualifying divisor gives the minimal gap.
     for s, a, c in merged_small_side(p, e_big, chains):
@@ -299,7 +299,7 @@ def test_divisor_list_factored_agrees_on_random_sample():
 
 def test_divisor_list_bound_and_cap():
     with pytest.raises(OracleBoundExceeded):
-        divisor_list(10**15 + 1, oracle_bound=10**14)
+        divisor_list(10**15 + 1)
     f = Factorization(((2, 100), (3, 50)))
     with pytest.raises(ResourceLimit):
         divisor_list_factored(f, divisor_cap=1000)
@@ -604,9 +604,13 @@ def test_factored_route_scales_to_millions_of_bits():
 
 
 def test_factored_route_respects_chain_cap():
-    f = Factorization(((2, 100), (3, 100)))
-    with pytest.raises(ResourceLimit):
-        delta(f, divisor_cap=50)
+    # the part coprime to 2**10000 has 4001**2 divisors, above DIVISOR_CAP,
+    # so the walk refuses before it builds a single chain
+    f = Factorization(((2, 10000), (3, 4000), (5, 4000)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="--divisor-cap"):
+        delta(f)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_factored_route_empty_factorization():
@@ -648,8 +652,8 @@ def walk_thresholds(m: int, rng: random.Random) -> list[int | None]:
 
 def assert_walks_agree(f: Factorization, thresholds) -> None:
     for t in thresholds:
-        want = outcome(merged_min_gap_step, f, t, DIVISOR_CAP)
-        assert outcome(_min_gap_step, f, t, DIVISOR_CAP) == want, (f.pairs, t)
+        want = outcome(merged_min_gap_step, f, t)
+        assert outcome(_min_gap_step, f, t) == want, (f.pairs, t)
 
 
 @settings(max_examples=150, deadline=None)

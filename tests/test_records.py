@@ -55,9 +55,22 @@ def test_record_constructors_check_their_fields(make, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: DivisorPair(6, 8)._replace(small=9), "need 1 <= small <= large, got (9, 8)"),
+    (lambda: SurvivorResult(5, 2, 3, "x")._replace(survivor=9), "survivor 9 outside 1..5"),
+    (lambda: RationalInterval(1, 2)._replace(lo=3), "empty interval: lo=3 > hi=2"),
+    (lambda: Factorization._make([((4, 1),)]), "4 is not prime"),
+], ids=["DivisorPair", "SurvivorResult", "RationalInterval", "Factorization"])
+def test_make_and_replace_check_like_the_constructor(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def test_interval_endpoints_are_fractions():
     iv = RationalInterval(1, 2)
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert type(iv._replace(lo=0).lo) is Fraction
 
 
 def test_proven_factorization_equals_the_checked_one():

@@ -117,13 +117,13 @@ def test_factored_path_reaches_sixty(capsys):
 
 
 def test_factored_path_reaches_two_hundred():
-    # late terms are astronomically large; they stay exponents and are
-    # checked against the ceiling recurrence without materializing. The run
-    # of exponents starts at index 2, whose term 4 is 2^2.
+    # late terms are astronomically large; each stays an (odd, e) record
+    # with odd part 1 and is checked against the ceiling recurrence without
+    # materializing. Terms 0 and 2 are 4 = 2^2, term 1 is 3.
     rep = a_seq(200, "factored")
     b = b_seq(200).terms
-    assert rep.prefix == (4, 3)
-    assert list(rep.exponents) == [2] + b[2:]
+    assert rep.records[:3] == ((1, 2), (3, 0), (1, 2))
+    assert list(rep.records[3:]) == [(1, e) for e in b[2:]]
     assert rep.term(3) == 2
     assert rep.term(45) == 1 << b[44]
 
@@ -161,13 +161,13 @@ def test_b_recurrence_rederivable_from_emitted_terms(n):
 
 
 def gap_product(n, path="factored"):
-    """p_n, the product of gap terms 0..n-1, factored from a_seq's terms;
-    the factored path's power-of-two terms are added as exponents."""
+    """p_n, the product of gap terms 0..n-1, factored from a_seq's (odd, e)
+    records; the powers of two are added as exponents, never materialized."""
     rep = a_seq(n - 1, path)
     f = Factorization(())
-    for t in rep.prefix:
-        f = f.multiply(factorize(t))
-    e = sum(rep.exponents)
+    for odd, _ in rep.records:
+        f = f.multiply(factorize(odd))
+    e = sum(e for _, e in rep.records)
     return f.multiply(Factorization(((2, e),))) if e else f
 
 
