@@ -27,17 +27,27 @@ DIVISOR_CAP = 10**7
 BRUTE_UP_TO = 30
 
 
+def _least_wheel_factor(n: int, start: int) -> int:
+    """The least prime factor of n, tried among 6j - 1 and 6j + 1 from start on.
+
+    start is of the form 6j - 1 and n has no prime factor below it, 2 and 3
+    included, so every prime left to try is one of those; 0 means n is 1 or
+    prime. A 6j + 1 just past isqrt(n) cannot divide such an n.
+    """
+    for d in range(start, isqrt(n) + 1, 6):
+        if not n % d:
+            return d
+        if not n % (d + 2):
+            return d + 2
+    return 0
+
+
 def _is_prime(p: int) -> bool:
     # Factorization checks the primes it is built from, mostly 2 and 3, so
     # those answer without building a range
     if p < 9:
         return p in (2, 3, 5, 7)
-    if p % 2 == 0:
-        return False
-    for d in range(3, isqrt(p) + 1, 2):
-        if not p % d:
-            return False
-    return True
+    return p % 2 != 0 and p % 3 != 0 and not _least_wheel_factor(p, 5)
 
 
 class Factorization(CheckedRecord, namedtuple("Factorization", "pairs")):
@@ -143,21 +153,17 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     # primes found below are proven by the scan that finds them
     Factorization.from_mapping(found)
     _check_bound(rest, oracle_bound, "unfactored part {} of m", "supply a Factorization")
-    if rest % 2 == 0:
-        rest, e = _divide_out(rest, 2)
-        found[2] = found.get(2, 0) + e
-    # odd candidates up to the square root of what is left, the bound
-    # shrinking each time a prime is divided out
-    start = 3
-    while start * start <= rest:
-        for p in range(start, isqrt(rest) + 1, 2):
-            if not rest % p:
-                break
-        else:
-            break
+    for p in (2, 3):
+        if rest % p == 0:
+            rest, e = _divide_out(rest, p)
+            found[p] = found.get(p, 0) + e
+    # then only 6j - 1 and 6j + 1 up to the square root of what is left, the
+    # bound shrinking each time a prime is divided out
+    p = _least_wheel_factor(rest, 5)
+    while p:
         rest, e = _divide_out(rest, p)
         found[p] = found.get(p, 0) + e
-        start = p + 2
+        p = _least_wheel_factor(rest, p if p % 6 == 5 else p + 4)
     if rest > 1:
         found[rest] = found.get(rest, 0) + 1
     return Factorization._proven(found)
@@ -308,7 +314,7 @@ def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tup
     if count > DIVISOR_CAP:
         raise ResourceLimit(
             f"the part coprime to {p} has {count} divisors, above the cap "
-            f"{DIVISOR_CAP}; raise it with --divisor-cap"
+            f"{DIVISOR_CAP}; the walk builds one chain per divisor of that part"
         )
     small = _divisors_unsorted(rest)
     total = small[-1]
@@ -358,7 +364,12 @@ def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, in
                 if best is None or not _le_scaled(s, a - best[1], best[0], p):
                     best = s, a, c, inner
                 break
-            a -= 1
+            # Below the boundary the gap lies in [1 - 1/p**2, 1) times
+            # c * p**(E - a), so no a qualifies until c * p**(E - a) exceeds
+            # the threshold, and the first such a or the next one does: jump
+            # there rather than step down one exponent at a time.
+            q = threshold // c
+            a = min(a - 1, e_big - (_ilog(q, p) + 1 if q else 0))
     if best is None:
         raise NoQualifyingPair(
             f"no divisor pair of the factored input has difference above {threshold}"
@@ -424,9 +435,18 @@ def gap_factorization(
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     p, e_big, _, a, _, inner = _min_gap_step(f, threshold)
-    rest = factorize(inner, oracle_bound=oracle_bound, hints=tuple(q for q, _ in f.pairs))
+    # f's primes are proven, so they are divided out of inner directly, and
+    # only a cofactor coprime to all of them is left to trial division
+    found = {}
+    for q, _ in f.pairs:
+        if inner % q == 0:
+            inner, found[q] = _divide_out(inner, q)
+    if inner > 1:
+        found.update(factorize(inner, oracle_bound=oracle_bound).pairs)
     shared = min(a, e_big - a)
-    return rest.multiply(Factorization(((p, shared),))) if shared else rest
+    if shared:
+        found[p] = found.get(p, 0) + shared
+    return Factorization._proven(found)
 
 
 def middle_pair_3x2k(k: int) -> DivisorPair:

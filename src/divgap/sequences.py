@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import ceil, prod
+from itertools import islice
+from math import ceil
 
 from .divisors import (
     ORACLE_BOUND,
@@ -116,15 +117,21 @@ def _a_seq_oracle(n_max: int, oracle_bound: int) -> SequenceReport:
 
 
 def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
-    # Each gap comes out of the walk already factored, so the product is
-    # extended by exponent arithmetic, and a term's record keeps its power
-    # of two as an exponent: no term is ever materialized.
-    product = Factorization(((2, 2),))
+    # Each gap comes out of the walk already factored, so the product is a
+    # prime -> exponent mapping extended in place, and a term's record keeps
+    # its power of two as an exponent: no term is ever materialized.
+    product = {2: 2}
     records = [(1, 2)]
     for _ in range(n_max):
-        gap = gap_factorization(product, 1, oracle_bound=oracle_bound)
-        records.append((prod(p**e for p, e in gap.pairs if p != 2), dict(gap.pairs).get(2, 0)))
-        product = product.multiply(gap)
+        gap = gap_factorization(Factorization._proven(product), 1, oracle_bound=oracle_bound)
+        odd, two = 1, 0
+        for p, e in gap.pairs:
+            product[p] = product.get(p, 0) + e
+            if p == 2:
+                two = e
+            else:
+                odd *= p**e
+        records.append((odd, two))
     return SequenceReport("a", 0, "factored", tuple(records))
 
 
@@ -159,18 +166,19 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     """
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
-    bs = b_seq(n_max)
     rep = a_seq(n_max, check_path, oracle_bound=oracle_bound)
     records = []
     product = 48  # terms 0..2: 4 * 3 * 4
-    for n in range(3, n_max + 1):
-        actual = rep.two_exponent(n)
-        ok = actual == bs.term(n)
+    # b(1) and b(2) have no gap term to match
+    pairs = zip(range(3, n_max + 1), rep.records[3:], islice(b_terms(n_max), 2, None))
+    for n, (odd, e), b in pairs:
+        actual = e if odd == 1 else None
+        ok = actual == b
         if check_path == "factored" and product < CROSS_CHECK_BOUND:
-            a = rep.term(n)
+            a = odd << e
             ok = ok and delta_above(product, 1, oracle_bound=oracle_bound).difference == a
             product *= a
-        records.append(CheckRecord(n, ok, bs.term(n), actual))
+        records.append(CheckRecord(n, ok, b, actual))
     return VerificationReport(f"gap term = 2^b(n) via {check_path} path", tuple(records))
 
 

@@ -8,7 +8,11 @@ and while loops stepping p * p <= rest) are kept verbatim below as the
 reference for the downward scan and the range loops that replaced them. So
 is the factored walk's former search and merge (a binary search for each
 chain's square-root boundary, then a k-way merge of all chains in
-descending order), the reference for the per-chain walk.
+descending order), and its former per-chain walk, which stepped each chain
+down one exponent at a time: both are references for the walk that jumps to
+the qualifying step. The former gap_factorization, which factored inner
+with f's primes as hints and multiplied in p**shared, is the reference for
+the one that builds the gap's factorization in one mapping.
 """
 
 import operator
@@ -214,6 +218,64 @@ def merged_min_gap_step(
     )
 
 
+def stepping_min_gap_step(
+    f: Factorization, threshold: int | None
+) -> tuple[int, int, int, int, int, int]:
+    """The minimal pair of f with difference above threshold, kept in pieces.
+
+    Returns (p, E, s, a, c, inner) for the pair s * p**a <= c * p**(E - a),
+    whose difference is p**min(a, E - a) * inner. Only inner is built: it is
+    c * p**(E - 2a) - s or c - s * p**(2a - E), and E - 2a stays near log_p T
+    close to the square root, so inner stays small however large E is.
+    """
+    # the empty factorization walks as 2**0 with the single chain (1, 1)
+    p, e_big, chains = _chain_split(f.pairs or ((2, 0),))
+    # The gap strictly grows as the small side shrinks, so the qualifying
+    # divisors are exactly those up to one bound. Each chain steps down from
+    # its square-root boundary to its largest qualifying divisor, and the
+    # largest of those over all chains has the minimal gap.
+    best = None
+    for s, c in chains:
+        a = _boundary_exponent(s, c, p, e_big)
+        while a >= 0:
+            k = e_big - 2 * a
+            inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
+            # inner is 0 only at an exact square root, where no threshold is met
+            if threshold is None or (
+                inner and not _le_scaled(inner, min(a, e_big - a), threshold, p)
+            ):
+                if best is None or not _le_scaled(s, a - best[1], best[0], p):
+                    best = s, a, c, inner
+                break
+            a -= 1
+    if best is None:
+        raise NoQualifyingPair(
+            f"no divisor pair of the factored input has difference above {threshold}"
+        )
+    return (p, e_big, *best)
+
+
+def hinted_gap_factorization(
+    f: Factorization,
+    threshold: int,
+    *,
+    oracle_bound: int = ORACLE_BOUND,
+) -> Factorization:
+    """delta_above(f, threshold).difference as a Factorization, never materialized.
+
+    The walk is the one behind delta_above; the gap comes out as
+    p**min(a, E - a) times a small inner factor, and only that inner factor
+    is built. It is factored by trial division after dividing out f's own
+    primes, and raises OracleBoundExceeded when the rest is above oracle_bound.
+    """
+    if threshold < 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    p, e_big, _, a, _, inner = _min_gap_step(f, threshold)
+    rest = factorize(inner, oracle_bound=oracle_bound, hints=tuple(q for q, _ in f.pairs))
+    shared = min(a, e_big - a)
+    return rest.multiply(Factorization(((p, shared),))) if shared else rest
+
+
 def outcome(fn, *args, **kwargs):
     """fn's result, or the type and message of the error it raised."""
     try:
@@ -417,6 +479,12 @@ CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 5394826801, 23225061960
 PINNED = (1, 2, 3, 48, 97, *SQUARES, *PRIME_SQUARES, *TWICE_PRIMES, *CARMICHAEL)
 PRIME_NEAR_1E14 = 10**14 - 27
 HINT_PRIMES = (2, 3, 5, 7, 11, 13)
+# where the 6j - 1, 6j + 1 scan turns: 5 * 7 meets both of its first pair,
+# 49 and 169 square a 6j + 1 prime, 11 * 13 and 101 * 103 are twin primes,
+# 5 * 7^2 and 7 * 11 * 13 restart the scan after a 6j - 1 and after a 6j + 1
+# prime, and 2^a * 3^b times 5 or 7 leave it one candidate
+WHEEL_EDGES = (35, 49, 169, 143, 101 * 103, 5 * 7**2, 7 * 11 * 13,
+               2**10 * 3**5 * 5, 2**3 * 3**7 * 7)
 
 
 def pinned_thresholds(m: int) -> list[int | None]:
@@ -479,7 +547,7 @@ def test_scan_start_matches_the_ascending_scan_at_any_threshold(m, data):
         ascending_min_pair, m, t, ORACLE_BOUND)
 
 
-@pytest.mark.parametrize("m", PINNED)
+@pytest.mark.parametrize("m", PINNED + WHEEL_EDGES)
 def test_range_loops_match_the_while_loops_pinned(m):
     assert _is_prime(m) == while_is_prime(m)
     for hints in ((), (2,), HINT_PRIMES):
@@ -608,7 +676,9 @@ def test_factored_route_respects_chain_cap():
     # so the walk refuses before it builds a single chain
     f = Factorization(((2, 10000), (3, 4000), (5, 4000)))
     start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="--divisor-cap"):
+    with pytest.raises(ResourceLimit, match="^the part coprime to 2 has 16008001 divisors, "
+                       "above the cap 10000000; the walk builds one chain per divisor "
+                       "of that part$"):
         delta(f)
     assert time.perf_counter() - start < 0.05
 
@@ -653,6 +723,7 @@ def walk_thresholds(m: int, rng: random.Random) -> list[int | None]:
 def assert_walks_agree(f: Factorization, thresholds) -> None:
     for t in thresholds:
         want = outcome(merged_min_gap_step, f, t)
+        assert outcome(stepping_min_gap_step, f, t) == want, (f.pairs, t)
         assert outcome(_min_gap_step, f, t) == want, (f.pairs, t)
 
 
@@ -698,6 +769,22 @@ def test_walk_matches_the_merge_pinned():
     for pairs in shapes:
         f = Factorization(pairs)
         assert_walks_agree(f, walk_thresholds(f.value(), rng))
+
+
+@pytest.mark.parametrize("e_big, t_exp", [(100001, 75000), (20001, 15000)])
+def test_walk_jumps_to_the_qualifying_step(e_big, t_exp):
+    # 3 * 2^E with t = 2^T, far below the square root. On the chain of powers
+    # of two, 2^a qualifies while 3 * 2^(E - a) - 2^a > 2^T, first at
+    # E - a = T - 1; 3 * 2^a, whose gap is under 2^(E - a), needs E - a > T
+    # and is smaller. Stepping down one exponent at a time took 6.9 s at
+    # the first scale.
+    f = Factorization(((2, e_big), (3, 1)))
+    start = time.perf_counter()
+    pair = delta_above(f, 2**t_exp)
+    assert time.perf_counter() - start < 0.1
+    assert pair == DivisorPair(2 ** (e_big - t_exp + 1), 3 * 2 ** (t_exp - 1))
+    if e_big < 10**5:
+        assert _min_gap_step(f, 2**t_exp) == stepping_min_gap_step(f, 2**t_exp)
 
 
 def test_walk_matches_the_merge_on_the_sequence_products():
@@ -750,6 +837,22 @@ def test_gap_factorization_matches_trial_division(m, t):
             gap_factorization(factorize(m), t)
     else:
         assert gap_factorization(factorize(m), t) == factorize(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 13, 97)), st.integers(1, 12), max_size=5)
+    .filter(lambda mapping: Factorization.from_mapping(mapping).divisor_count() <= 1500),
+    st.sampled_from((10**9, 10**4)),
+    st.randoms(use_true_random=False),
+)
+def test_gap_factorization_matches_the_hinted_factorization(mapping, bound, rng):
+    # 10^4 makes some cofactors refuse, so the errors are compared too
+    f = Factorization.from_mapping(mapping)
+    m = f.value()
+    for t in (t for t in (0, 1, rng.randint(0, m), m - 2) if t >= 0):
+        assert outcome(gap_factorization, f, t, oracle_bound=bound) == outcome(
+            hinted_gap_factorization, f, t, oracle_bound=bound), (mapping, t)
 
 
 def test_gap_factorization_on_the_sequence_products():

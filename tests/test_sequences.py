@@ -2,10 +2,14 @@
 
 Pinned prefixes were frozen from a standalone brute-force enumeration before
 this package existed; both computation paths must reproduce them, and the
-factored path's power-of-two terms must match the ceiling recurrence.
+factored path's power-of-two terms must match the ceiling recurrence. The
+factored path's former loop, which extended the product with a fresh
+Factorization.multiply per term, is kept verbatim below as the reference
+for the one that extends a prime -> exponent mapping in place.
 """
 
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +17,12 @@ from hypothesis import strategies as st
 
 from divgap import sequences
 from divgap.cli import run
-from divgap.divisors import DivisorPair, Factorization, factorize
+from divgap.divisors import ORACLE_BOUND, DivisorPair, Factorization, factorize, gap_factorization
 from divgap.errors import InsufficientPrecision, OracleBoundExceeded
 from divgap.intervals import RationalInterval
 from divgap.sequences import (
     A_PATHS,
+    SequenceReport,
     a_seq,
     b_closed_form,
     b_seq,
@@ -26,6 +31,19 @@ from divgap.sequences import (
 
 A_PREFIX = [4, 3, 4, 2, 4, 8, 16, 64]
 B_PREFIX = [1, 1, 1, 2, 3, 4, 6, 9, 14]
+
+
+def multiplied_a_seq_factored(n_max: int, oracle_bound: int = ORACLE_BOUND) -> SequenceReport:
+    # Each gap comes out of the walk already factored, so the product is
+    # extended by exponent arithmetic, and a term's record keeps its power
+    # of two as an exponent: no term is ever materialized.
+    product = Factorization(((2, 2),))
+    records = [(1, 2)]
+    for _ in range(n_max):
+        gap = gap_factorization(product, 1, oracle_bound=oracle_bound)
+        records.append((prod(p**e for p, e in gap.pairs if p != 2), dict(gap.pairs).get(2, 0)))
+        product = product.multiply(gap)
+    return SequenceReport("a", 0, "factored", tuple(records))
 
 
 def naive_b(count):
@@ -126,6 +144,13 @@ def test_factored_path_reaches_two_hundred():
     assert list(rep.records[3:]) == [(1, e) for e in b[2:]]
     assert rep.term(3) == 2
     assert rep.term(45) == 1 << b[44]
+
+
+def test_in_place_product_matches_the_multiplied_product():
+    want = multiplied_a_seq_factored(1600).records
+    for n in range(401):
+        assert a_seq(n).records == want[: n + 1]
+    assert a_seq(1600).records == want
 
 
 # --- growth and structure ---
