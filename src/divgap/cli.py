@@ -515,7 +515,10 @@ def run(argv=None) -> int:
     # with str(), so the interpreter's own conversion guard must not undercut
     # either; raised before parsing, a long argument reaches the documented
     # refusals instead of an argparse echo of every digit. seq terms and
-    # certified digits render through decimal_str and never reach the guard
+    # certified digits render through decimal_str and never reach the guard.
+    # The guard is not lowered again on return: divbench's certify oracle
+    # renders digits with str() in the interpreter that ran the jobs, and
+    # relies on it
     wanted = DIGIT_PRINT_LIMIT + 100
     if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
         sys.set_int_max_str_digits(wanted)

@@ -11,7 +11,7 @@ the test surface, not an assumption.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import isqrt, log
 
 from .errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit, brief
 from .report import CheckedRecord, CheckRecord, VerificationReport
@@ -48,6 +48,14 @@ def _is_prime(p: int) -> bool:
     if p < 9:
         return p in (2, 3, 5, 7)
     return p % 2 != 0 and p % 3 != 0 and not _least_wheel_factor(p, 5)
+
+
+def _divisor_count(pairs) -> int:
+    """Number of divisors of the product of p**e over pairs: the product of e + 1."""
+    count = 1
+    for _, e in pairs:
+        count *= e + 1
+    return count
 
 
 class Factorization(CheckedRecord, namedtuple("Factorization", "pairs")):
@@ -90,10 +98,7 @@ class Factorization(CheckedRecord, namedtuple("Factorization", "pairs")):
         return m
 
     def divisor_count(self) -> int:
-        count = 1
-        for _, e in self.pairs:
-            count *= e + 1
-        return count
+        return _divisor_count(self.pairs)
 
     def multiply(self, other: Factorization) -> Factorization:
         merged = dict(self.pairs)
@@ -269,17 +274,25 @@ def _pow(p: int, a: int) -> int:
 
 
 def _ilog(x: int, p: int) -> int:
-    """Largest a >= 0 with p**a <= x, for x >= 1. Exact binary search."""
+    """Largest a >= 0 with p**a <= x, for x >= 1.
+
+    For odd p, the float quotient of logs lands within a step or two of the
+    answer; one power is built there, and exact comparisons, each after one
+    multiplication or division by p, move it onto the answer.
+    """
     if p == 2:
         return x.bit_length() - 1
-    lo, hi = 0, x.bit_length()
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if p**mid <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    if x < p:
+        return 0
+    a = int(log(x) / log(p))
+    power = p**a
+    while power > x:
+        power //= p
+        a -= 1
+    while power * p <= x:
+        power *= p
+        a += 1
+    return a
 
 
 def _le_scaled(s: int, k: int, t: int, p: int) -> bool:
@@ -308,9 +321,7 @@ def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tup
     ordered = sorted(pairs, key=lambda pe: pe[1])
     p, e_big = ordered[-1]
     rest = ordered[:-1]
-    count = 1
-    for _, e in rest:
-        count *= e + 1
+    count = _divisor_count(rest)
     if count > DIVISOR_CAP:
         raise ResourceLimit(
             f"the part coprime to {p} has {count} divisors, above the cap "

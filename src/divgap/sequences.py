@@ -27,6 +27,8 @@ from .report import CheckRecord, VerificationReport
 A_PATHS = ("oracle", "factored")
 # verify_theorem re-derives the factored path's gaps by trial division while
 # the partial product stays below this; each costs at most isqrt(bound) steps.
+# It is also that trial division's bound, so the cross-check never refuses a
+# run the caller's oracle_bound admits.
 CROSS_CHECK_BOUND = 1 << 20
 
 
@@ -176,7 +178,7 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
         ok = actual == b
         if check_path == "factored" and product < CROSS_CHECK_BOUND:
             a = odd << e
-            ok = ok and delta_above(product, 1, oracle_bound=oracle_bound).difference == a
+            ok = ok and delta_above(product, 1, oracle_bound=CROSS_CHECK_BOUND).difference == a
             product *= a
         records.append(CheckRecord(n, ok, b, actual))
     return VerificationReport(f"gap term = 2^b(n) via {check_path} path", tuple(records))

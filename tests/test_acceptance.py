@@ -7,10 +7,11 @@ wall-clock budget. The whole gate targets well under two minutes.
 
 import json
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
+
+from cli_run import run_cli
 
 from divgap.constants import c_enclosure, relation_check
 from divgap.divisors import (
@@ -27,15 +28,6 @@ from divgap.josephus import survivor_recurrence, survivor_simulation, survivor_v
 from divgap.sequences import a_seq, b_closed_form, b_seq, verify_theorem
 
 C_REFERENCE_26 = "0.36050455619661495910154466"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "divgap", *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 class Criterion:

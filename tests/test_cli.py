@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface.
 
-Everything here runs the real console entry point in a subprocess, so it
-covers argument parsing, output formatting, and exit codes exactly as a
-shell user sees them. Golden outputs are byte-exact.
+Commands run through divgap.cli.run in this interpreter (tests/cli_run.py),
+with stdout, stderr and the exit code captured as a shell user would see
+them, so these tests cover argument parsing, output formatting and exit
+codes. Golden outputs are byte-exact. A few tests start `python -m divgap`
+itself: the entry point must give the same bytes as cli.run, and two fresh
+interpreters must agree with each other.
 """
 
 import json
@@ -15,14 +18,17 @@ from pathlib import Path
 
 import pytest
 
+from cli_run import run_cli
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "divgap", *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+import divgap
+
+
+def run_process(*args):
+    """`python -m divgap ARGS` in a fresh interpreter, with COLUMNS as run_cli sets it."""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(divgap.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "divgap", *args],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def envelope(*args):
@@ -248,8 +254,6 @@ def test_seq_json_terms_match_the_plain_lines(which, last):
 
 
 def test_import_leaves_out_dataclasses_inspect_and_typing():
-    import divgap
-
     code = (
         "import sys, divgap, divgap.cli; divgap.cli.build_parser(); "
         "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
@@ -328,8 +332,9 @@ def test_json_error_envelope_on_domain_error():
     ],
 )
 def test_identical_argv_identical_bytes(args):
-    first = run_cli(*args)
-    second = run_cli(*args)
+    # two interpreters, so two hash seeds
+    first = run_process(*args)
+    second = run_process(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
 
@@ -375,14 +380,16 @@ def test_usage_report_is_argparse_own(args, capsys, monkeypatch):
 
     import divgap.cli
 
-    assert divgap.cli.run(list(args)) == 2
-    ours = capsys.readouterr()
-    assert ours.out == ""
+    ours = run_cli(*args)
+    assert ours.returncode == 2
+    assert ours.stdout == ""
+    # argparse wraps its report to COLUMNS, which run_cli sets for its call
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(divgap.cli._Parser, "error", argparse.ArgumentParser.error)
     with pytest.raises(SystemExit) as exc:
         divgap.cli.build_parser().parse_args(list(args))
     assert exc.value.code == 2
-    assert capsys.readouterr().err == ours.err
+    assert capsys.readouterr().err == ours.stderr
 
 
 def test_help_under_json_writes_no_envelope():
@@ -428,14 +435,12 @@ def test_recurrence_reaches_huge_n():
 
 @pytest.mark.parametrize("algo", ["ow", "all"])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_ow_refuses_a_huge_q_at_once(algo, json_flag, capsys):
-    from divgap.cli import run
-
+def test_ow_refuses_a_huge_q_at_once(algo, json_flag):
     start = time.perf_counter()
-    code = run(["josephus", "--n", "1000", "--q", str(10**12), "--algo", algo, *json_flag])
+    proc = run_cli("josephus", "--n", "1000", "--q", str(10**12), "--algo", algo, *json_flag)
     elapsed = time.perf_counter() - start
-    out, err = capsys.readouterr()
-    assert code == 3
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
     assert elapsed < 0.25
     assert "--algo recurrence" in err
     if json_flag:
@@ -448,14 +453,12 @@ def test_ow_refuses_a_huge_q_at_once(algo, json_flag, capsys):
 
 @pytest.mark.parametrize("algo", ["recurrence", "all"])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_recurrence_refuses_a_huge_q_at_once(algo, json_flag, capsys):
-    from divgap.cli import run
-
+def test_recurrence_refuses_a_huge_q_at_once(algo, json_flag):
     start = time.perf_counter()
-    code = run(["josephus", "--n", str(10**12), "--q", str(10**9), "--algo", algo, *json_flag])
+    proc = run_cli("josephus", "--n", str(10**12), "--q", str(10**9), "--algo", algo, *json_flag)
     elapsed = time.perf_counter() - start
-    out, err = capsys.readouterr()
-    assert code == 3
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
     assert elapsed < 0.25
     assert "--q" in err and "--n" in err
     if json_flag:
@@ -471,14 +474,12 @@ def test_recurrence_refuses_a_huge_q_at_once(algo, json_flag, capsys):
     ("--n", str(2**32 + 1), "--q", "2", "--sim-cap", str(2**33)),
 ], ids=["moves", "labels"])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_simulation_refuses_at_once(game, json_flag, capsys):
-    from divgap.cli import run
-
+def test_simulation_refuses_at_once(game, json_flag):
     start = time.perf_counter()
-    code = run(["josephus", *game, "--algo", "simulation", *json_flag])
+    proc = run_cli("josephus", *game, "--algo", "simulation", *json_flag)
     elapsed = time.perf_counter() - start
-    out, err = capsys.readouterr()
-    assert code == 3
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
     assert elapsed < 0.25
     assert "--algo recurrence" in err
     if json_flag:
@@ -538,26 +539,27 @@ def test_reproduce_refuses_too_few_terms():
     ("140", 24, "growth constant"),  # c short of 26 places, the relation at its 24
     ("160", 30, "relation"),  # c at 28 places, the relation short of a raised 30
 ])
-def test_reproduce_refuses_each_shortfall(monkeypatch, capsys, terms, relation_places, named):
+def test_reproduce_refuses_each_shortfall(monkeypatch, terms, relation_places, named):
     from divgap import cli
 
     monkeypatch.setattr(cli, "RELATION_PLACES", relation_places)
-    assert cli.run(["reproduce", "--fast-only", "--terms", terms]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert named in captured.err and "--terms" in captured.err
+    proc = run_cli("reproduce", "--fast-only", "--terms", terms)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert named in proc.stderr and "--terms" in proc.stderr
 
 
 @pytest.mark.parametrize("reference, terms", [
     ("0.36050455619661495910154467", "200"),  # wrong in the 26th place
     ("0.37050455619661495910154466", "60"),  # wrong in a place 60 terms certify
 ])
-def test_reproduce_fails_on_a_disagreeing_prefix(monkeypatch, capsys, reference, terms):
+def test_reproduce_fails_on_a_disagreeing_prefix(monkeypatch, reference, terms):
     from divgap import cli
 
     monkeypatch.setattr(cli, "C_REFERENCE_26", reference)
-    assert cli.run(["reproduce", "--fast-only", "--terms", terms]) == 4
-    row = capsys.readouterr().out.splitlines()[-3]
+    proc = run_cli("reproduce", "--fast-only", "--terms", terms)
+    assert proc.returncode == 4
+    row = proc.stdout.splitlines()[-3]
     assert row.startswith("growth constant to 26 places")
     assert row.endswith("FAIL")
 
@@ -577,3 +579,33 @@ def test_reproduce_json_contains_rows():
     verdicts = {r["verdict"] for r in rows}
     assert verdicts <= {"PASS", "FINDING"}
     assert any(r["verdict"] == "FINDING" for r in rows)
+
+
+# --- the process around run ---
+
+
+@pytest.mark.parametrize("args, code", [
+    (("seq", "a", "--max", "7"), 0),
+    (("seq", "a", "--json"), 2),
+    (("delta", "48", "--oracle-bound", "10"), 3),
+    (("delta", "2", "--above", "1"), 4),
+    (("constants", "--help"), 0),
+])
+def test_entry_point_matches_run(args, code):
+    proc = run_process(*args)
+    assert proc.returncode == code
+    ours = run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        ours.returncode, ours.stdout, ours.stderr)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str guard")
+def test_run_cli_puts_the_guard_back():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run_cli("seq", "a", "--max", "7").returncode == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)

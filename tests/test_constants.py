@@ -17,6 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cli_run import run_cli
+
 import divgap.cli
 import divgap.constants
 from divgap.constants import (
@@ -427,7 +429,7 @@ def test_default_terms():
 
 
 @pytest.mark.parametrize("which, name", [("c", "c_enclosure"), ("k3", "k3_enclosure")])
-def test_constants_command_builds_its_enclosure_once(which, name, monkeypatch, capsys):
+def test_constants_command_builds_its_enclosure_once(which, name, monkeypatch):
     real = getattr(divgap.constants, name)
     calls = []
 
@@ -438,6 +440,7 @@ def test_constants_command_builds_its_enclosure_once(which, name, monkeypatch, c
     # the cli and the digit helpers each look the name up in their own module
     for module in (divgap.cli, divgap.constants):
         monkeypatch.setattr(module, name, counted)
-    assert divgap.cli.run(["constants", which, "--terms", "300"]) == 0
+    proc = run_cli("constants", which, "--terms", "300")
+    assert proc.returncode == 0
     assert calls == [300]
-    assert capsys.readouterr().out.splitlines()[2] == "terms: 300"
+    assert proc.stdout.splitlines()[2] == "terms: 300"

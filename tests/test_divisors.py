@@ -12,7 +12,9 @@ descending order), and its former per-chain walk, which stepped each chain
 down one exponent at a time: both are references for the walk that jumps to
 the qualifying step. The former gap_factorization, which factored inner
 with f's primes as hints and multiplied in p**shared, is the reference for
-the one that builds the gap's factorization in one mapping.
+the one that builds the gap's factorization in one mapping. The former
+integer log, a binary search that built p**mid at every probe, is the
+reference for the one that starts from a float quotient of logs.
 """
 
 import operator
@@ -34,6 +36,7 @@ from divgap.divisors import (
     Factorization,
     _boundary_exponent,
     _chain_split,
+    _ilog,
     _is_prime,
     _le_scaled,
     _min_gap_step,
@@ -148,6 +151,20 @@ def while_factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     if rest > 1:
         found[rest] = found.get(rest, 0) + 1
     return Factorization.from_mapping(found)
+
+
+def binary_search_ilog(x: int, p: int) -> int:
+    """Largest a >= 0 with p**a <= x, for x >= 1. Exact binary search."""
+    if p == 2:
+        return x.bit_length() - 1
+    lo, hi = 0, x.bit_length()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if p**mid <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def binary_search_boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
@@ -713,6 +730,25 @@ def test_boundary_exponent_matches_the_binary_search_exhaustively():
 )
 def test_boundary_exponent_matches_the_binary_search(s, c, p, e_big):
     assert _boundary_exponent(s, c, p, e_big) == binary_search_boundary_exponent(s, c, p, e_big)
+
+
+ILOG_PRIMES = (2, 3, 5, 7, 11, 13, 97, 65537, 999983)
+
+
+def test_ilog_matches_the_binary_search_on_random_inputs():
+    rng = random.Random(2026)
+    for _ in range(20000):
+        x = rng.getrandbits(rng.randint(1, 1500)) or 1
+        p = rng.choice(ILOG_PRIMES)
+        assert _ilog(x, p) == binary_search_ilog(x, p), (x, p)
+
+
+def test_ilog_matches_the_binary_search_next_to_prime_powers():
+    # x = 0 comes in at k = 0: _le_scaled takes the log of a threshold of 0
+    for p in ILOG_PRIMES:
+        for k in range(300):
+            for x in (p**k - 1, p**k, p**k + 1):
+                assert _ilog(x, p) == binary_search_ilog(x, p), (x, p)
 
 
 def walk_thresholds(m: int, rng: random.Random) -> list[int | None]:

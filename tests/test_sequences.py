@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_run import run_cli
+
 from divgap import sequences
-from divgap.cli import run
 from divgap.divisors import ORACLE_BOUND, DivisorPair, Factorization, factorize, gap_factorization
 from divgap.errors import InsufficientPrecision, OracleBoundExceeded
 from divgap.intervals import RationalInterval
@@ -123,15 +124,16 @@ def test_oracle_path_stops_at_its_bound():
         a_seq(11, "oracle")
 
 
-def test_factored_path_reaches_sixty(capsys):
+def test_factored_path_reaches_sixty():
     # the walk stays in exponent space, so index 60 (gap of the product
     # 3 * 2^26510400995) is exact and every term from 3 on reads 2^b(n)
     rep = a_seq(60, "factored")
     b = b_seq(60).terms
     assert [rep.two_exponent(n) for n in range(3, 61)] == b[2:]
     # what refuses now is the print budget, at term 40
-    assert run(["seq", "a", "--max", "51"]) == 3
-    assert "term 40" in capsys.readouterr().err
+    proc = run_cli("seq", "a", "--max", "51")
+    assert proc.returncode == 3
+    assert "term 40" in proc.stderr
 
 
 def test_factored_path_reaches_two_hundred():
@@ -289,6 +291,24 @@ def test_factored_theorem_cross_checks_small_gaps_by_trial_division(monkeypatch)
     assert calls == [48, 96, 384, 3072, 49152]
     bad = [r for r in rep.records if not r.passed]
     assert [(r.index, r.actual == r.expected) for r in bad] == [(5, True)]
+
+
+def test_factored_theorem_cross_check_keeps_its_own_bound(monkeypatch):
+    # the caller's oracle_bound of 1000 is below the product 3072 that the
+    # cross-check divides at n = 6, and the walk never needs it; the
+    # cross-check runs under CROSS_CHECK_BOUND, so it neither refuses the
+    # run nor skips a product
+    real = sequences.delta_above
+    calls = []
+
+    def counted(m, threshold, **kwargs):
+        calls.append(m)
+        return real(m, threshold, **kwargs)
+
+    monkeypatch.setattr(sequences, "delta_above", counted)
+    rep = verify_theorem(10, oracle_bound=1000)
+    assert calls == [48, 96, 384, 3072, 49152]
+    assert rep.all_passed and len(rep.records) == 8
 
 
 def test_verify_theorem_stays_small_in_memory():

@@ -103,6 +103,7 @@ def _requests() -> list[list[str]]:
     out += [
         ["theorem", "--max", "10", "--path", "oracle"],
         ["theorem", "--max", "11", "--path", "oracle"],
+        ["theorem", "--max", "10", "--oracle-bound", "1000"],  # cross-check under its own bound
         ["theorem", "--max", "2"],
     ]
     for which in ("1", "2"):
