@@ -28,7 +28,6 @@ from .divisors import (
     divisor_list_factored,
     factorize,
     gap_factorization,
-    middle_pair_3x2k,
 )
 from .errors import (
     DivgapError,
@@ -95,7 +94,6 @@ __all__ = [
     "factorize",
     "gap_factorization",
     "k3_enclosure",
-    "middle_pair_3x2k",
     "ow_sequence",
     "relation_check",
     "render_digits",

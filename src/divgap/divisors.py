@@ -23,7 +23,8 @@ from .report import CheckedRecord, CheckRecord, VerificationReport
 ORACLE_BOUND = 10**14
 # Refusal point for materializing a full divisor list from a factorization.
 DIVISOR_CAP = 10**7
-# check_middle_pair_law recomputes the gap by trial division up to this k.
+# Both 3*2^k laws are also recomputed by trial division up to this k: the
+# divisor count by enumerating every divisor, the minimal gap by the oracle.
 BRUTE_UP_TO = 30
 
 
@@ -120,10 +121,6 @@ class DivisorPair(CheckedRecord, namedtuple("DivisorPair", "small large")):
     @property
     def difference(self) -> int:
         return self.large - self.small
-
-    @property
-    def product(self) -> int:
-        return self.small * self.large
 
 
 def _check_bound(n: int, bound: int, named: str, instead: str) -> None:
@@ -460,31 +457,14 @@ def gap_factorization(
     return Factorization._proven(found)
 
 
-def middle_pair_3x2k(k: int) -> DivisorPair:
-    """The two middle divisors of 3 * 2**k, in constant time.
-
-    The 2k+2 divisors interleave powers of two with three times powers of
-    two; the pair around the square root lands on (3*2^(k/2-1), 2^(k/2+1))
-    for even k and (2^((k+1)/2), 3*2^((k-1)/2)) for odd k. Its difference is
-    2^(ceil(k/2) - 1), which the brute-force suite confirms.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if k % 2:
-        t = (k - 1) // 2
-        return DivisorPair(2 ** (t + 1), 3 * 2**t)
-    t = k // 2
-    return DivisorPair(3 * 2 ** (t - 1), 2 ** (t + 1))
-
-
 # --- verification suites for the 3*2^k laws ---
 
 
-def check_divisor_count_law(max_k: int, *, enumerate_up_to: int = 30) -> VerificationReport:
+def check_divisor_count_law(max_k: int) -> VerificationReport:
     """Check that 3 * 2**k has exactly 2k+2 divisors for k = 1..max_k.
 
     The exponent formula is checked for every k; full enumeration backs it
-    up for k up to enumerate_up_to, through both enumeration routes.
+    up for k up to BRUTE_UP_TO, through both enumeration routes.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
@@ -494,7 +474,7 @@ def check_divisor_count_law(max_k: int, *, enumerate_up_to: int = 30) -> Verific
         expected = 2 * k + 2
         got = divisor_count(f)
         ok = got == expected
-        if ok and k <= enumerate_up_to:
+        if ok and k <= BRUTE_UP_TO:
             ok = (
                 len(divisor_list_factored(f))
                 == len(divisor_list(3 * 2**k))
@@ -507,22 +487,26 @@ def check_divisor_count_law(max_k: int, *, enumerate_up_to: int = 30) -> Verific
 def check_middle_pair_law(max_k: int) -> VerificationReport:
     """Adjudicate the minimal-gap law for 3 * 2**k.
 
-    For k up to BRUTE_UP_TO the trial-division oracle recomputes the minimal
-    gap and must match the constant-time middle pair. For every k the middle
-    pair difference must equal 2^(ceil(k/2) - 1). The widely quoted exponent
-    ceil(k/2) fails already at k = 4, where enumeration gives gap 2, so the
-    report carries that as a note rather than a failure.
+    For every k the descending walk finds the minimal gap of 3 * 2**k in
+    exponent space, and it must be 2^(ceil(k/2) - 1); for k up to BRUTE_UP_TO
+    the trial-division oracle recomputes it on the integer as well. Records
+    hold the exponents compared (actual is None for a gap that is not a
+    power of two at all). The widely quoted exponent ceil(k/2) fails already
+    at k = 4, where enumeration gives gap 2, so the report carries that as a
+    note rather than a failure.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
     records = []
     for k in range(1, max_k + 1):
-        pair = middle_pair_3x2k(k)
-        expected = 2 ** ((k + 1) // 2 - 1)
-        ok = pair.difference == expected and pair.product == 3 * 2**k
+        # 3 * 2**k is never a square, so its minimal gap is above 0
+        exponents = dict(gap_factorization(Factorization._proven({2: k, 3: 1}), 0).pairs)
+        actual = exponents.get(2, 0) if exponents.keys() <= {2} else None
+        expected = (k + 1) // 2 - 1
+        ok = actual == expected
         if ok and k <= BRUTE_UP_TO:
-            ok = delta(3 * 2**k) == expected
-        records.append(CheckRecord(k, ok, expected, pair.difference))
+            ok = delta(3 << k) == 1 << expected
+        records.append(CheckRecord(k, ok, expected, actual))
     notes = (
         "the gap exponent for 3*2^k is ceil(k/2) - 1, not the published ceil(k/2); "
         "enumeration gives gap 2 = 2^1 at k = 4 where the published form says 4",

@@ -15,13 +15,13 @@ from cli_run import run_cli
 
 from divgap.constants import c_enclosure, relation_check
 from divgap.divisors import (
+    Factorization,
     delta,
     delta_pair,
     divisor_count,
     divisor_list,
     divisor_list_factored,
     factorize,
-    middle_pair_3x2k,
 )
 from divgap.intervals import render_digits
 from divgap.josephus import survivor_recurrence, survivor_simulation, survivor_via_ow
@@ -93,7 +93,7 @@ def test_criterion_4_middle_pair_law_adjudicated():
     with Criterion(4, "minimal gap of 3*2^k: brute force, middle pair, exponent", 5.0):
         for k in range(1, 31):
             brute = delta(3 * 2**k)
-            pair = middle_pair_3x2k(k)
+            pair = delta_pair(Factorization(((2, k), (3, 1))))
             assert brute == pair.difference == 2 ** ((k + 1) // 2 - 1)
         assert delta(48) == 2
         # the widely printed exponent ceil(k/2) is off by one; the package

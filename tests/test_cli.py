@@ -10,7 +10,6 @@ interpreters must agree with each other.
 
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -135,28 +134,6 @@ def test_term_and_place_counts_must_be_positive(args, flag):
         assert proc.stdout == ""
 
 
-def test_decimal_rendering_matches_str():
-    from divgap.intervals import SPLIT_BITS, decimal_str
-
-    # str() of huge ints is guarded on interpreters that have the guard
-    guarded = hasattr(sys, "set_int_max_str_digits")
-    if guarded:
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
-        for k in (SPLIT_BITS - 1, SPLIT_BITS, SPLIT_BITS + 1, 2 * SPLIT_BITS + 3):
-            for x in (0, 1, 2**k - 1, 2**k, 2**k + 1, -(2**k) - 1):
-                assert decimal_str(x) == str(x)
-        rng = random.Random(2024)
-        for _ in range(40):
-            x = rng.getrandbits(rng.randint(1, 10**5))
-            assert decimal_str(x) == str(x)
-        assert decimal_str(2**10**6) == str(2**10**6)
-    finally:
-        if guarded:
-            sys.set_int_max_str_digits(old)
-
-
 def test_seq_refuses_unprintable_range_and_fast_path():
     proc = run_cli("seq", "a", "--max", "200")
     assert proc.returncode == 3
@@ -173,6 +150,25 @@ def test_lemma_2_carries_the_note():
     assert proc.returncode == 0
     assert "note:" in proc.stdout
     assert "ceil(k/2) - 1" in proc.stdout
+
+
+@pytest.mark.parametrize("gap, got, actual", [
+    (((2, 3),), "2^3", "3"),
+    (((2, 2), (3, 1)), "2^?", None),  # not a power of two
+])
+def test_lemma_2_failure_prints_exponents(monkeypatch, gap, got, actual):
+    divisors = divgap.divisors
+    real = divisors.gap_factorization
+    at = divisors.Factorization(((2, 5), (3, 1)))
+    monkeypatch.setattr(divisors, "gap_factorization",
+                        lambda f, t: divisors.Factorization(gap) if f == at else real(f, t))
+    proc = run_cli("lemma", "2", "--max-k", "40")
+    assert proc.returncode == 4
+    assert proc.stdout.splitlines()[0] == f"k=5 expected=2^2 got={got} MISMATCH"
+    proc = run_cli("lemma", "2", "--max-k", "40", "--json")
+    assert proc.returncode == 4
+    failures = json.loads(proc.stdout)["result"]["failures"]
+    assert failures == [{"k": "5", "expected": "2", "actual": actual}]
 
 
 def test_constants_c_plain():

@@ -9,6 +9,7 @@ ow_sequence steps the K3 iteration one term at a time, the reference for
 the library's eight-step jumps.
 """
 
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -31,7 +32,13 @@ from divgap.constants import (
     relation_check,
 )
 from divgap.errors import EmptyIntersection
-from divgap.intervals import DigitCertificate, RationalInterval, render_digits
+from divgap.intervals import (
+    SPLIT_BITS,
+    DigitCertificate,
+    RationalInterval,
+    decimal_str,
+    render_digits,
+)
 from divgap.josephus import ow_sequence
 from divgap.sequences import b_seq
 
@@ -206,6 +213,30 @@ def test_render_digits_matches_the_reference_on_the_enclosures(n):
     scaled = k3_enclosure(n).scale(K3_SCALE)
     for iv in (c_iv, k3_enclosure(n), c_iv.hull(scaled)):
         assert render_digits(iv, n) == bisect_render(iv, n)
+
+
+def test_decimal_rendering_matches_str():
+    # str() of huge ints is guarded on interpreters that have the guard
+    guarded = hasattr(sys, "set_int_max_str_digits")
+    if guarded:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        for k in (SPLIT_BITS - 1, SPLIT_BITS, SPLIT_BITS + 1, 2 * SPLIT_BITS + 3):
+            for x in (0, 1, 2**k - 1, 2**k, 2**k + 1, -(2**k) - 1):
+                assert decimal_str(x) == str(x)
+        rng = random.Random(2024)
+        for _ in range(40):
+            x = rng.getrandbits(rng.randint(1, 10**5))
+            assert decimal_str(x) == str(x)
+        # a canonical decimal string is the only one of its value, so this
+        # checks what == str(x) would, without CPython's quadratic str()
+        x = 2**10**6
+        d = decimal_str(x)
+        assert d.isascii() and d.isdigit() and d[0] != "0" and int(d) == x
+    finally:
+        if guarded:
+            sys.set_int_max_str_digits(old)
 
 
 # --- the growth-constant enclosure ---

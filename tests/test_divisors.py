@@ -22,6 +22,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -52,7 +53,6 @@ from divgap.divisors import (
     divisor_list_factored,
     factorize,
     gap_factorization,
-    middle_pair_3x2k,
 )
 from divgap.errors import (
     DivgapError,
@@ -61,6 +61,7 @@ from divgap.errors import (
     ResourceLimit,
     brief,
 )
+from divgap.report import CheckRecord
 from divgap.sequences import b_seq
 
 
@@ -626,7 +627,7 @@ def test_factorize_refreshes_its_bound_after_each_prime():
 
 def test_pair_invariants():
     p = delta_pair(48)
-    assert p.product == 48
+    assert p.small * p.large == 48
     assert p.difference == p.large - p.small
     with pytest.raises(ValueError):
         DivisorPair(3, 2)
@@ -918,24 +919,21 @@ def test_middle_pair_known_table():
         5: (8, 12), 6: (12, 16), 7: (16, 24), 8: (24, 32),
     }
     for k, (s, l) in table.items():
-        assert middle_pair_3x2k(k) == DivisorPair(s, l)
+        assert delta_pair(Factorization(((2, k), (3, 1)))) == DivisorPair(s, l)
 
 
 def test_middle_pair_matches_enumeration():
     for k in range(1, 26):
         m = 3 * 2**k
-        assert middle_pair_3x2k(k) == delta_pair(m)
-        assert middle_pair_3x2k(k).product == m
+        pair = delta_pair(Factorization(((2, k), (3, 1))))
+        assert pair == delta_pair(m)
+        assert pair.small * pair.large == m
 
 
 def test_middle_pair_difference_exponent():
     for k in range(1, 1001):
-        assert middle_pair_3x2k(k).difference == 2 ** ((k + 1) // 2 - 1)
-
-
-def test_middle_pair_rejects_k_zero():
-    with pytest.raises(ValueError):
-        middle_pair_3x2k(0)
+        pair = delta_pair(Factorization(((2, k), (3, 1))))
+        assert pair.difference == 2 ** ((k + 1) // 2 - 1)
 
 
 def test_divisor_count_law_report():
@@ -951,6 +949,47 @@ def test_middle_pair_law_report_carries_the_exponent_note():
     assert rep.all_passed
     assert rep.failures == ()
     assert any("ceil(k/2) - 1" in note for note in rep.notes)
+    # records hold exponents of two, as verify_theorem's do
+    assert rep.records[3] == CheckRecord(4, True, 1, 1)
+    assert rep.records[99] == CheckRecord(100, True, 49, 49)
+
+
+def skew_at(monkeypatch, name, at, replacement):
+    """Rebind divisors.name so that it answers replacement for the argument at."""
+    real = getattr(divisors, name)
+    monkeypatch.setattr(divisors, name,
+                        lambda m, *args: replacement if m == at else real(m, *args))
+
+
+@pytest.mark.parametrize("gap, actual", [
+    (Factorization(((2, 20),)), 20),  # off by one exponent
+    (Factorization(((2, 19), (3, 1))), None),  # not a power of two
+])
+def test_middle_pair_law_fails_a_skewed_walk_past_the_brute_force_range(
+        monkeypatch, gap, actual):
+    # k = 40 lies past BRUTE_UP_TO, so only the walk answers there
+    skew_at(monkeypatch, "gap_factorization", Factorization(((2, 40), (3, 1))), gap)
+    rep = check_middle_pair_law(50)
+    assert rep.failures == (CheckRecord(40, False, 19, actual),)
+
+
+def test_middle_pair_law_fails_a_skewed_oracle_in_the_brute_force_range(monkeypatch):
+    # the walk is right at k = 10, but trial division disagrees with it
+    skew_at(monkeypatch, "delta", 3 << 10, 2**5)
+    rep = check_middle_pair_law(50)
+    assert rep.failures == (CheckRecord(10, False, 4, 4),)
+
+
+def test_middle_pair_law_stays_in_exponent_space():
+    # a check that builds 3 * 2**k for every k peaks at 8.1 MiB
+    tracemalloc.start()
+    try:
+        rep = check_middle_pair_law(10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_passed
+    assert peak < 4 * 2**20
 
 
 def test_law_reports_reject_bad_ranges():

@@ -152,6 +152,9 @@ def commands() -> list[list[str]]:
             out += [argv + ["--json"], argv + ["--bfile"]]
     out += [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
     out += [["seq", "a", "--max", "3", "--json", "--bfile"], ["seq", "a", "--max", "3", "--js"]]
+    # both 3*2^k laws past the k up to which trial division recomputes them
+    for which in ("1", "2"):
+        out += [["lemma", which, "--max-k", "3000"], ["lemma", which, "--max-k", "3000", "--json"]]
     return out
 
 
