@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import floor
 
 from .constants import (
     DEFAULT_TERMS,
@@ -33,8 +34,15 @@ from .divisors import (
     divisor_list_factored,
     factorize,
 )
-from .errors import EXIT_FINDING, DivgapError, InsufficientPrecision, ResourceLimit
-from .intervals import decimal_str, render_digits
+from .errors import (
+    EXIT_FINDING,
+    EXIT_OK,
+    EXIT_USAGE,
+    DivgapError,
+    InsufficientPrecision,
+    ResourceLimit,
+)
+from .intervals import LOG10_2_UPPER, decimal_str, render_digits
 from .josephus import (
     SIMULATION_CAP,
     survivor_recurrence,
@@ -43,9 +51,6 @@ from .josephus import (
 )
 from .report import CheckRecord
 from .sequences import A_PATHS, a_seq, b_seq, verify_theorem
-
-EXIT_OK = 0
-EXIT_USAGE = 2
 
 C_REFERENCE_26 = "0.36050455619661495910154466"
 # places c and (2/9)*K3 must share for the relation to count as reproduced
@@ -106,12 +111,12 @@ def _cmd_seq(args) -> tuple[dict, list[str], bool]:
         rep = b_seq(args.max)
     # refuse terms beyond the print budget before materializing anything;
     # machine-scale terms always print, whatever the budget
-    bit_budget = args.digit_limit * 100000 // 30103  # digits / log10(2)
-    for n in range(rep.start_index, rep.last_index + 1):
-        bits = rep.term_bits(n)
+    bit_budget = floor(args.digit_limit / LOG10_2_UPPER)
+    for n, (odd, e) in enumerate(rep.records, start=rep.start_index):
+        bits = odd.bit_length() + e
         if bits > 64 and bits > bit_budget:
             raise ResourceLimit(
-                f"term {n} needs about {bits * 30103 // 100000 + 1} decimal "
+                f"term {n} needs about {floor(bits * LOG10_2_UPPER) + 1} decimal "
                 f"digits, above the print limit {args.digit_limit}; "
                 "raise it with --digit-limit"
             )
@@ -179,7 +184,7 @@ def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
     if args.which == "1":
         rep = check_divisor_count_law(args.max_k)
         summary = f"divisor count of 3*2^k equals 2k+2 for k=1..{args.max_k}"
-        base = ""
+        base = unit = ""
     else:
         # lemma 2's records hold exponents of two, as theorem's do
         rep = check_middle_pair_law(args.max_k)
@@ -187,7 +192,7 @@ def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
             f"minimal gap of 3*2^k equals the middle-pair gap 2^(ceil(k/2)-1) "
             f"for k=1..{args.max_k}"
         )
-        base = "2^"
+        base, unit = "2^", "_exponent"
     lines = []
     if rep.all_passed:
         lines.append(summary)
@@ -202,7 +207,8 @@ def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
         "max_k": args.max_k,
         "all_passed": rep.all_passed,
         "failures": [
-            {"k": r.index, "expected": r.expected, "actual": r.actual} for r in rep.failures
+            {"k": r.index, f"expected{unit}": r.expected, f"actual{unit}": r.actual}
+            for r in rep.failures
         ],
         "notes": list(rep.notes),
     }

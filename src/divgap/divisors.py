@@ -98,9 +98,6 @@ class Factorization(CheckedRecord, namedtuple("Factorization", "pairs")):
             m *= _pow(p, e)
         return m
 
-    def divisor_count(self) -> int:
-        return _divisor_count(self.pairs)
-
     def multiply(self, other: Factorization) -> Factorization:
         merged = dict(self.pairs)
         for p, e in other.pairs:
@@ -203,7 +200,7 @@ def divisor_list_factored(f: Factorization, *, divisor_cap: int = DIVISOR_CAP) -
     Works far beyond the trial-division bound, but materializes the whole
     list, so the divisor count is capped up front.
     """
-    count = f.divisor_count()
+    count = _divisor_count(f.pairs)
     if count > divisor_cap:
         raise ResourceLimit(
             f"divisor count {count} exceeds the cap {divisor_cap}; "
@@ -229,7 +226,7 @@ def _divisors_unsorted(pairs) -> list[int]:
 
 def divisor_count(f: Factorization) -> int:
     """Number of divisors, straight from the exponents."""
-    return f.divisor_count()
+    return _divisor_count(f.pairs)
 
 
 # --- gap computations, oracle route ---

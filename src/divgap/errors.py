@@ -1,5 +1,7 @@
 """Exception types shared across the library, with the CLI status each maps to."""
 
+EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_FINDING = 4
 

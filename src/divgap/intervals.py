@@ -12,6 +12,7 @@ import decimal
 import os
 from collections import namedtuple
 from fractions import Fraction
+from math import floor
 
 from .report import CheckedRecord
 
@@ -21,6 +22,10 @@ from .report import CheckedRecord
 # below the interpreter's default 4300-digit conversion guard.
 SPLIT_BITS = 4096
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+# 0.30103 > log10(2): an integer of b bits has at most floor(b * LOG10_2_UPPER)
+# + 1 decimal digits, and a budget of d digits admits floor(d / LOG10_2_UPPER)
+# bits
+LOG10_2_UPPER = Fraction(30103, 100000)
 
 
 def decimal_str(n: int) -> str:
@@ -116,11 +121,10 @@ def render_digits(iv: RationalInterval, max_places: int) -> DigitCertificate:
     depth = max_places
     if gap:
         # hi - lo = gap / scale, so d places agree only if gap * 10^d < scale;
-        # scale / gap < 2^(bits + 1) and 0.30103 > log10(2), so no place
-        # beyond this depth agrees
+        # scale / gap < 2^(bits + 1), so no place beyond this depth agrees
         scale = lo.denominator * hi.denominator
         bits = scale.bit_length() - gap.bit_length()
-        depth = min(max_places, max(0, (bits + 1) * 30103 // 100000))
+        depth = min(max_places, max(0, floor((bits + 1) * LOG10_2_UPPER)))
     unit = 10**depth
     whole, frac_lo = divmod(lo.numerator * unit // lo.denominator, unit)
     whole_hi, frac_hi = divmod(hi.numerator * unit // hi.denominator, unit)

@@ -36,9 +36,8 @@ class SequenceReport:
     """A computed sequence prefix with the path that produced it.
 
     Term n is held as the record (odd, e) with term = odd * 2**e, turned into
-    an integer only when read; a factored gap term near index 60 already
-    needs megabytes, so iterate or index instead of materializing when the
-    range is large.
+    an integer only when iterated; a factored gap term near index 60 already
+    needs megabytes, so read records instead of terms when the range is large.
     """
 
     __slots__ = ("name", "start_index", "path", "records")
@@ -50,36 +49,9 @@ class SequenceReport:
         self.path = path
         self.records = records
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def _record(self, n: int) -> tuple[int, int]:
-        i = n - self.start_index
-        if not 0 <= i < len(self):
-            raise IndexError(f"index {n} outside [{self.start_index}, {self.last_index}]")
-        return self.records[i]
-
-    def term(self, n: int) -> int:
-        odd, e = self._record(n)
-        return odd << e
-
-    def term_bits(self, n: int) -> int:
-        """Bit length of term n without materializing it."""
-        odd, e = self._record(n)
-        return odd.bit_length() + e
-
-    def two_exponent(self, n: int) -> int | None:
-        """e when term n is exactly 2**e, else None; never materializes."""
-        odd, e = self._record(n)
-        return e if odd == 1 else None
-
     def __iter__(self):
         for odd, e in self.records:
             yield odd << e
-
-    @property
-    def last_index(self) -> int:
-        return self.start_index + len(self) - 1
 
     @property
     def terms(self) -> list[int]:
@@ -108,59 +80,53 @@ def b_seq(n_max: int) -> SequenceReport:
     return SequenceReport("b", 1, "recurrence", tuple(map(_odd_record, b_terms(n_max))))
 
 
-def _a_seq_oracle(n_max: int, oracle_bound: int) -> SequenceReport:
-    terms = [4]
-    p = 4
-    for _ in range(n_max):
-        a = delta_above(p, 1, oracle_bound=oracle_bound).difference
-        terms.append(a)
-        p *= a
-    return SequenceReport("a", 0, "oracle", tuple(map(_odd_record, terms)))
+def a_records(path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
+    """The (odd, e) records of gap terms a(0), a(1), ... via the chosen path.
 
-
-def _a_seq_factored(n_max: int, oracle_bound: int) -> SequenceReport:
-    # Each gap comes out of the walk already factored, so the product is a
-    # prime -> exponent mapping extended in place, and a term's record keeps
-    # its power of two as an exponent: no term is ever materialized.
-    product = {2: 2}
-    records = [(1, 2)]
-    for _ in range(n_max):
-        gap = gap_factorization(Factorization._proven(product), 1, oracle_bound=oracle_bound)
-        odd, two = 1, 0
-        for p, e in gap.pairs:
-            product[p] = product.get(p, 0) + e
-            if p == 2:
-                two = e
-            else:
-                odd *= p**e
-        records.append((odd, two))
-    return SequenceReport("a", 0, "factored", tuple(records))
+    oracle: the product as a plain integer, each gap by trial division
+    (honest up to index 10 with the default bound). factored: the product as
+    a prime -> exponent mapping extended in place, each gap by the
+    descending divisor walk in exponent space; the gap comes out factored,
+    so no integer of the terms' size is built and its power of two stays an
+    exponent. The stream has no end; a gap is computed only when its record
+    is pulled.
+    """
+    if path not in A_PATHS:
+        raise ValueError(f"unknown path {path!r}, expected one of {A_PATHS}")
+    yield 1, 2  # a(0) = 4
+    if path == "oracle":
+        product = 4
+        while True:
+            a = delta_above(product, 1, oracle_bound=oracle_bound).difference
+            yield _odd_record(a)
+            product *= a
+    else:
+        product = {2: 2}
+        while True:
+            gap = gap_factorization(Factorization._proven(product), 1, oracle_bound=oracle_bound)
+            odd, two = 1, 0
+            for p, e in gap.pairs:
+                product[p] = product.get(p, 0) + e
+                if p == 2:
+                    two = e
+                else:
+                    odd *= p**e
+            yield odd, two
 
 
 def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> SequenceReport:
-    """Indices 0..n_max of the gap sequence via the chosen path.
-
-    oracle: products as plain integers, gaps by trial division (honest up to
-    index 10 with the default bound). factored: products and gaps as
-    factorizations, gaps by the descending divisor walk in exponent space;
-    no integer of the terms' size is built, so it reaches the hundreds, and
-    each term's power of two stays an exponent until the term is read.
-    """
+    """Indices 0..n_max of the gap sequence via the chosen path (see a_records)."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if path == "oracle":
-        return _a_seq_oracle(n_max, oracle_bound)
-    if path == "factored":
-        return _a_seq_factored(n_max, oracle_bound)
-    raise ValueError(f"unknown path {path!r}, expected one of {A_PATHS}")
+    return SequenceReport("a", 0, path, tuple(islice(a_records(path, oracle_bound), n_max + 1)))
 
 
 def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> VerificationReport:
     """Check gap term == 2**b(n) for n = 3..n_max.
 
-    Each gap term is recomputed from the divisor definition by a_seq on the
-    chosen path, which must be one of A_PATHS; nothing is assumed from the
-    identity being checked. On the factored path, the gaps whose partial
+    Each gap term is recomputed from the divisor definition by a_records on
+    the chosen path, which must be one of A_PATHS; nothing is assumed from
+    the identity being checked. On the factored path, the gaps whose partial
     product is below CROSS_CHECK_BOUND are also recomputed by trial division
     on the integer product, and a disagreement fails the record. Failures are
     recorded, not raised; records hold the exponents being compared (actual
@@ -168,11 +134,12 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     """
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
-    rep = a_seq(n_max, check_path, oracle_bound=oracle_bound)
     records = []
     product = 48  # terms 0..2: 4 * 3 * 4
-    # b(1) and b(2) have no gap term to match
-    pairs = zip(range(3, n_max + 1), rep.records[3:], islice(b_terms(n_max), 2, None))
+    # b(1) and b(2) have no gap term to match; the range comes first, so the
+    # zip stops before it pulls a gap past n_max from the endless stream
+    pairs = zip(range(3, n_max + 1), islice(a_records(check_path, oracle_bound), 3, None),
+                islice(b_terms(n_max), 2, None))
     for n, (odd, e), b in pairs:
         actual = e if odd == 1 else None
         ok = actual == b

@@ -166,9 +166,9 @@ def test_criterion_9_property_suites():
 
         # path equivalence, and the factored path against the recurrence
         assert a_seq(10, "oracle").terms == a_seq(10, "factored").terms
-        factored, b = a_seq(40, "factored"), b_seq(40).terms
+        factored, b = a_seq(40, "factored").terms, b_seq(40).terms
         assert all(
-            factored.term(n) == ((4, 3, 4)[n] if n < 3 else 1 << b[n - 1])
+            factored[n] == ((4, 3, 4)[n] if n < 3 else 1 << b[n - 1])
             for n in range(41)
         )
 

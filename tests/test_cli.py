@@ -168,7 +168,7 @@ def test_lemma_2_failure_prints_exponents(monkeypatch, gap, got, actual):
     proc = run_cli("lemma", "2", "--max-k", "40", "--json")
     assert proc.returncode == 4
     failures = json.loads(proc.stdout)["result"]["failures"]
-    assert failures == [{"k": "5", "expected": "2", "actual": actual}]
+    assert failures == [{"k": "5", "expected_exponent": "2", "actual_exponent": actual}]
 
 
 def test_constants_c_plain():

@@ -80,16 +80,14 @@ def test_b_matches_its_definition():
 
 
 def test_report_indexing():
+    # term n is record n - start_index, held as (odd, e) with term odd * 2**e
     rep = b_seq(9)
-    assert rep.term(1) == 1
-    assert rep.term(9) == 14
-    assert rep.last_index == 9
-    assert len(rep) == 9
-    assert list(rep) == B_PREFIX
+    assert rep.records[1 - rep.start_index] == (1, 0)
+    assert rep.records[9 - rep.start_index] == (7, 1)
+    assert rep.start_index + len(rep.records) - 1 == 9
+    assert list(rep) == rep.terms == B_PREFIX
     with pytest.raises(IndexError):
-        rep.term(0)
-    with pytest.raises(IndexError):
-        rep.term(10)
+        rep.records[10 - rep.start_index]
 
 
 def test_a_seq_rejects_bad_arguments():
@@ -112,10 +110,10 @@ def test_paths_agree_to_ten():
 
 
 def test_factored_path_matches_b_to_forty():
-    factored = a_seq(40, "factored")
+    factored = a_seq(40, "factored").terms
     b = b_seq(40).terms
     for n in range(41):
-        assert factored.term(n) == (A_PREFIX[n] if n < 3 else 1 << b[n - 1])
+        assert factored[n] == (A_PREFIX[n] if n < 3 else 1 << b[n - 1])
 
 
 def test_oracle_path_stops_at_its_bound():
@@ -129,7 +127,7 @@ def test_factored_path_reaches_sixty():
     # 3 * 2^26510400995) is exact and every term from 3 on reads 2^b(n)
     rep = a_seq(60, "factored")
     b = b_seq(60).terms
-    assert [rep.two_exponent(n) for n in range(3, 61)] == b[2:]
+    assert [e if odd == 1 else None for odd, e in rep.records[3:]] == b[2:]
     # what refuses now is the print budget, at term 40
     proc = run_cli("seq", "a", "--max", "51")
     assert proc.returncode == 3
@@ -144,8 +142,10 @@ def test_factored_path_reaches_two_hundred():
     b = b_seq(200).terms
     assert rep.records[:3] == ((1, 2), (3, 0), (1, 2))
     assert list(rep.records[3:]) == [(1, e) for e in b[2:]]
-    assert rep.term(3) == 2
-    assert rep.term(45) == 1 << b[44]
+    odd, e = rep.records[3]
+    assert odd << e == 2
+    odd, e = rep.records[45]
+    assert odd << e == 1 << b[44]
 
 
 def test_in_place_product_matches_the_multiplied_product():
@@ -165,15 +165,15 @@ def test_b_is_nondecreasing():
 
 def test_a_is_nondecreasing_from_three():
     rep = a_seq(120, "factored")
-    exps = [rep.two_exponent(n) for n in range(3, 121)]
+    exps = [e if odd == 1 else None for odd, e in rep.records[3:]]
     assert all(x <= y for x, y in zip(exps, exps[1:]))
 
 
 def test_theorem_links_a_to_b():
     b = b_seq(40).terms
-    factored = a_seq(40, "factored")
+    factored = a_seq(40, "factored").terms
     for n in range(3, 41):
-        assert factored.term(n) == 1 << b[n - 1]
+        assert factored[n] == 1 << b[n - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +229,8 @@ def test_partial_product_running_sum():
     # the gap exponents of terms 3..29 add up to the running b sum b(3..29)
     b = b_seq(30).terms
     rep = a_seq(29)
-    assert sum(rep.two_exponent(n) for n in range(3, 30)) == sum(b[2:29])
+    assert all(odd == 1 for odd, _ in rep.records[3:])
+    assert sum(e for _, e in rep.records[3:]) == sum(b[2:29])
 
 
 def test_partial_product_paths_agree():
@@ -269,7 +270,7 @@ def test_a_gap_off_the_identity_is_recorded_not_assumed(monkeypatch):
         return gap.multiply(skew) if f.pairs == ((2, 7), (3, 1)) else gap
 
     monkeypatch.setattr(sequences, "gap_factorization", skewed)
-    assert a_seq(5, "factored").term(5) == 24
+    assert a_seq(5, "factored").terms[5] == 24
     rep = verify_theorem(5)
     assert rep.records[2].index == 5 and rep.records[2].actual is None
     assert not rep.all_passed
@@ -311,6 +312,24 @@ def test_factored_theorem_cross_check_keeps_its_own_bound(monkeypatch):
     assert rep.all_passed and len(rep.records) == 8
 
 
+@pytest.mark.parametrize("n", [5, 40])
+def test_gap_stream_walks_only_the_terms_it_reads(monkeypatch, n):
+    # a(1)..a(n) take one walk each; a pull past n_max would walk once more
+    real = sequences.gap_factorization
+    walked = []
+
+    def counted(f, threshold, **kwargs):
+        walked.append(f)
+        return real(f, threshold, **kwargs)
+
+    monkeypatch.setattr(sequences, "gap_factorization", counted)
+    assert len(a_seq(n).records) == n + 1
+    assert len(walked) == n
+    walked.clear()
+    assert len(verify_theorem(n).records) == n - 2
+    assert len(walked) == n
+
+
 def test_verify_theorem_stays_small_in_memory():
     # the products reach 3 * 2^689596369 at n = 50; none of it may be built
     tracemalloc.start()
@@ -326,7 +345,7 @@ def test_verify_theorem_rejects_bad_range():
     with pytest.raises(ValueError):
         verify_theorem(2, "factored")
     with pytest.raises(ValueError):
-        verify_theorem(10, "fast")  # not a path: a_seq refuses it
+        verify_theorem(10, "fast")  # not a path: a_records refuses it
 
 
 # --- closed form for b ---

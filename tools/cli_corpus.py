@@ -155,6 +155,11 @@ def commands() -> list[list[str]]:
     # both 3*2^k laws past the k up to which trial division recomputes them
     for which in ("1", "2"):
         out += [["lemma", which, "--max-k", "3000"], ["lemma", which, "--max-k", "3000", "--json"]]
+    # the print budget read from each term's record, and an oracle refusal
+    # raised from inside the gap stream while theorem reads it
+    for argv in (["seq", "b", "--max", "200", "--digit-limit", "10"],
+                 ["theorem", "--max", "12", "--path", "oracle", "--oracle-bound", "1000"]):
+        out += [argv, argv + ["--json"]]
     return out
 
 
