@@ -52,27 +52,56 @@ def _iterate_q3(seed: int, count: int) -> int:
 def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
     """Intersect the per-index constraints ((b - 1/2), (b + 1/2)] * (2/3)^n.
 
-    Constraint n is [(2b - 1) * 2^(n-1), (2b + 1) * 2^(n-1)] / 3^n, so the
-    running bounds are kept as integer numerators over 3^n: each step
-    multiplies them by 3 and compares against the shifted candidates. One
-    Fraction per endpoint is built at the end; Fraction arithmetic in the
-    loop would re-normalize 1.58n-bit numbers by gcd at every step.
+    Over the denominator 3^n, constraint n is [L_n, H_n] with
+    L_n, H_n = (2b_n -+ 1) * 2^(n-1), and the running bounds fold as
+    lo_n = max(3 lo_(n-1), L_n) and hi_n = min(3 hi_(n-1), H_n). Both are
+    kept as nonnegative offsets from the newest constraint, in units of
+    2^(n-1): lo_n = L_n + D * 2^(n-1) and hi_n = H_n - E * 2^(n-1).
+    Substituting, with t = 3b_(n-1) - 2b_n,
+
+        D' = max((3D + 2t - 1) / 2, 0),  E' = max((3E - 2t - 1) / 2, 0),
+
+    and the intersection is empty exactly when D' + E' > (H_n - L_n)/2^(n-1),
+    which is 2. Since 3 lo_(n-1) <= 3 hi_(n-1), the bounds cross only when
+    one crosses the other's newest constraint, 3 lo_(n-1) > H_n or
+    3 hi_(n-1) < L_n: that is, when one offset alone exceeds 2 before its
+    max. Each offset is a numerator over 2^k: with D = d/2^k, D' before the
+    max is 3d + (2t - 1) * 2^k over 2^(k+1), and when the newest constraint
+    binds, d and k reset to 0. On the recurrence's own terms t is small and
+    the binding constraint is a few terms back, so the offsets stay a few
+    bits wide, and the full-width work per term is t alone; the 1.58n-bit
+    endpoints are rebuilt once at the end. Correctness rests on the
+    identities above, not on how wide the offsets get.
 
     An empty running intersection would falsify the ceiling closed form for
     the supplied terms, so it aborts with the first violating index instead
     of clamping. The terms are read once, in order, and not kept.
     """
     terms = iter(terms)
-    b = next(terms)
-    lo, hi, n = 2 * b - 1, 2 * b + 1, 1
+    prev = next(terms)
+    n = 1
+    d = kd = e = ke = 0  # D = d / 2^kd, E = e / 2^ke
     for n, b in enumerate(terms, start=2):
-        lo = max(3 * lo, (2 * b - 1) << (n - 1))
-        hi = min(3 * hi, (2 * b + 1) << (n - 1))
-        if lo > hi:
+        t = 3 * prev - 2 * b
+        prev = b
+        # the offsets before the max, each a numerator over one more power of 2
+        d = 3 * d + ((2 * t - 1) << kd)
+        e = 3 * e - ((2 * t + 1) << ke)
+        if d > 4 << kd or e > 4 << ke:
             raise EmptyIntersection(
                 f"constraint {n} (term {b}) empties the intersection", index=n
             )
+        if d > 0:
+            kd += 1
+        else:
+            d = kd = 0
+        if e > 0:
+            ke += 1
+        else:
+            e = ke = 0
     den = 3**n
+    lo = ((2 * prev - 1) << (n - 1)) + (d << (n - 1 - kd))
+    hi = ((2 * prev + 1) << (n - 1)) - (e << (n - 1 - ke))
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 

@@ -357,15 +357,18 @@ def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, in
     # its square-root boundary to its largest qualifying divisor, and the
     # largest of those over all chains has the minimal gap.
     best = None
+    # The gap inner * p**j exceeds the threshold outright when j > t_log,
+    # and otherwise p**j <= threshold is small enough to build; a threshold
+    # of 0 is exceeded by every gap
+    t_log = _ilog(threshold, p) if threshold else -1
     for s, c in chains:
         a = _boundary_exponent(s, c, p, e_big)
         while a >= 0:
             k = e_big - 2 * a
             inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
+            j = min(a, e_big - a)
             # inner is 0 only at an exact square root, where no threshold is met
-            if threshold is None or (
-                inner and not _le_scaled(inner, min(a, e_big - a), threshold, p)
-            ):
+            if threshold is None or (inner and (j > t_log or inner * _pow(p, j) > threshold)):
                 if best is None or not _le_scaled(s, a - best[1], best[0], p):
                     best = s, a, c, inner
                 break

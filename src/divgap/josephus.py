@@ -22,9 +22,14 @@ SIMULATION_CAP = 10**6
 # move; n = 10^5 with q >= n sits at it and takes about 0.4 s (2-core Xeon,
 # CPython 3.11)
 MOVE_LIMIT = 10**10
-# most iterations survivor_recurrence or survivor_via_ow may be predicted to
-# take; a million steps on machine-size terms take about 0.1 s
-STEP_LIMIT = 10**6
+# A step of survivor_recurrence or survivor_via_ow costs about the same on
+# any terms up to a machine word and grows with their bits past it, so each
+# is predicted as steps times the bit length of its widest term, at least
+# WORD_BITS, and refused above one shared budget. A million steps on
+# machine-size terms take 0.15-0.45 s (2-core Xeon, CPython 3.11); at the
+# budget's edge on wider terms a game takes less
+WORD_BITS = 64
+BIT_OP_LIMIT = 10**6 * WORD_BITS
 
 
 class SurvivorResult(CheckedRecord, namedtuple("SurvivorResult", "n q survivor algorithm")):
@@ -43,6 +48,16 @@ def _validate(n: int, q: int) -> None:
         raise ValueError(f"q must be at least 2, got {q}")
 
 
+def _step_limit(widest: int) -> int:
+    """Most steps BIT_OP_LIMIT admits on terms up to widest."""
+    return BIT_OP_LIMIT // max(WORD_BITS, widest.bit_length())
+
+
+def _recurrence_steps(n: int, q: int) -> tuple[int, int]:
+    """survivor_recurrence's predicted iterations at n, q, and its step limit."""
+    return min(n - 1, q * n.bit_length()), _step_limit(max(n, q))
+
+
 def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     """Fold the one-smaller-circle recurrence up from a single person.
 
@@ -52,15 +67,15 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     q*ln(n) iterations when q is much smaller than n, and one step at a time
     while q is at least the circle size. Each iteration grows the circle, so
     there are at most n - 1, and q * bit_length(n) exceeds the q*ln(n) term;
-    a predicted min of the two above STEP_LIMIT is refused before the first
-    step.
+    the terms are at most n and q. A predicted min of the two above the step
+    limit for terms that wide is refused before the first step.
     """
     _validate(n, q)
-    predicted = min(n - 1, q * n.bit_length())
-    if predicted > STEP_LIMIT:
+    predicted, limit = _recurrence_steps(n, q)
+    if predicted > limit:
         raise ResourceLimit(
             f"the recurrence would take up to {predicted} iterations at n={brief(n)}, "
-            f"q={brief(q)}, above the limit {STEP_LIMIT}; lower --q or --n"
+            f"q={brief(q)}, above the limit {limit}; lower --q or --n"
         )
     pos, m = 0, 1
     while m < n:
@@ -170,16 +185,21 @@ def survivor_via_ow(n: int, q: int) -> SurvivorResult:
 
     Each step multiplies the term by at least q/(q-1), and ln(q/(q-1)) >= 1/q,
     so reaching (q-1)*n takes at most q*ln((q-1)*n) + 1 steps; q times the
-    bit length of (q-1)*n bounds that without floats, and a bound above
-    STEP_LIMIT is refused before the first step.
+    bit length of (q-1)*n bounds that without floats. A bound above the step
+    limit for terms as wide as (q-1)*n is refused before the first step,
+    pointing at the recurrence when it would be admitted and at q and n
+    otherwise.
     """
     _validate(n, q)
     bound = (q - 1) * n
     predicted = q * bound.bit_length()
-    if predicted > STEP_LIMIT:
+    limit = _step_limit(bound)
+    if predicted > limit:
+        steps, recurrence_limit = _recurrence_steps(n, q)
+        advice = "use --algo recurrence" if steps <= recurrence_limit else "lower --q or --n"
         raise ResourceLimit(
-            f"the ceiling iteration would take up to {predicted} steps at q={q}, "
-            f"above the limit {STEP_LIMIT}; use --algo recurrence"
+            f"the ceiling iteration would take up to {predicted} steps at q={brief(q)}, "
+            f"above the limit {limit}; {advice}"
         )
     term = 1
     while term <= bound:

@@ -65,12 +65,17 @@ def _odd_record(t: int) -> tuple[int, int]:
 
 
 def b_terms(n_max: int) -> Iterator[int]:
-    """b(1), ..., b(n_max) of the half-sum ceiling recurrence, one at a time."""
-    t = s = 1
+    """b(1), ..., b(n_max) of the half-sum ceiling recurrence, one at a time.
+
+    u is the running sum plus one, so u >> 1 is the ceiling of half the sum:
+    one shift and one add per term, since CPython runs // 2 on a big int as
+    a full long division.
+    """
+    t, u = 1, 2
     for _ in range(n_max):
         yield t
-        t = (s + 1) // 2
-        s += t
+        t = u >> 1
+        u += t
 
 
 def b_seq(n_max: int) -> SequenceReport:

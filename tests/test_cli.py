@@ -465,6 +465,26 @@ def test_recurrence_refuses_a_huge_q_at_once(algo, json_flag):
         assert out == ""
 
 
+@pytest.mark.parametrize("algo", ["recurrence", "ow", "all"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_survivor_routes_refuse_wide_terms_at_once(algo, json_flag):
+    # n = 10^30000: 2 * 10^5 steps on 10^5-bit terms
+    n = "1" + "0" * 30000
+    start = time.perf_counter()
+    proc = run_cli("josephus", "--n", n, "--q", "2", "--algo", algo, *json_flag)
+    elapsed = time.perf_counter() - start
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
+    assert elapsed < 0.05
+    assert "--n" in err and n not in err
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top["status"] == "error"
+        assert dict(top["result"])["error"] == "ResourceLimit"
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize("game", [
     ("--n", "1000000", "--q", str(10**12)),
     ("--n", str(2**32 + 1), "--q", "2", "--sim-cap", str(2**33)),

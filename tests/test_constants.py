@@ -6,7 +6,8 @@ and are compared as literal text; nothing here is allowed to round.
 The bisection renderer below searches the certified depth two truncations
 per probe, the reference for the library's one-truncation renderer;
 ow_sequence steps the K3 iteration one term at a time, the reference for
-the library's eight-step jumps.
+the library's eight-step jumps; the integer-numerator fold below is the
+reference for the library's fold of two small offsets.
 """
 
 import random
@@ -40,7 +41,7 @@ from divgap.intervals import (
     render_digits,
 )
 from divgap.josephus import ow_sequence
-from divgap.sequences import b_seq
+from divgap.sequences import b_seq, b_terms
 
 # 34 certified places of the growth constant from the 200-term enclosure
 C_200 = "0.3605045561966149591015446628665164"
@@ -341,6 +342,94 @@ def test_shifted_term_raises_like_the_fraction_reference(data):
         _intersect_growth_constraints(terms)
     assert got.value.index == want.value.index
     assert str(got.value) == str(want.value)
+
+
+def _integer_numerator_intersection(terms) -> RationalInterval:
+    """Reference: the fold the offset fold replaced, kept verbatim.
+
+    The running bounds are full integer numerators over 3^n, each step
+    multiplying them by 3 and comparing against the shifted candidates.
+    """
+    terms = iter(terms)
+    b = next(terms)
+    lo, hi, n = 2 * b - 1, 2 * b + 1, 1
+    for n, b in enumerate(terms, start=2):
+        lo = max(3 * lo, (2 * b - 1) << (n - 1))
+        hi = min(3 * hi, (2 * b + 1) << (n - 1))
+        if lo > hi:
+            raise EmptyIntersection(
+                f"constraint {n} (term {b}) empties the intersection", index=n
+            )
+    den = 3**n
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _half_sum_terms(n_max: int) -> list[int]:
+    """Reference: b(1..n_max) with the ceiling of half the sum as (s + 1) // 2."""
+    out = []
+    t = s = 1
+    for _ in range(n_max):
+        out.append(t)
+        t = (s + 1) // 2
+        s += t
+    return out
+
+
+B_5000 = _half_sum_terms(5000)
+
+
+def test_b_terms_match_the_floor_division_form():
+    assert list(b_terms(5000)) == B_5000
+    assert B_5000[:len(B_1500)] == B_1500
+
+
+def _same_fold(terms: list[int]) -> None:
+    """The offset fold and the reference agree: one interval, or one refusal."""
+    try:
+        want = _integer_numerator_intersection(terms)
+    except EmptyIntersection as exc:
+        with pytest.raises(EmptyIntersection) as got:
+            _intersect_growth_constraints(terms)
+        assert got.value.index == exc.index
+        assert str(got.value) == str(exc)
+    else:
+        assert _intersect_growth_constraints(terms) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=len(B_5000)))
+@example(1)
+@example(2)
+@example(len(B_5000))
+def test_offset_fold_matches_the_integer_numerators(n):
+    _same_fold(B_5000[:n])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_offset_fold_matches_the_integer_numerators_off_the_recurrence(data):
+    # one or more terms moved by +-1, +-2 or far out; the fold must empty at
+    # the same index with the same message, or give the same interval when
+    # the moved terms stay inside the band (the last one or two can)
+    n = data.draw(st.integers(min_value=1, max_value=len(B_5000)))
+    terms = B_5000[:n]
+    far = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                    st.integers().map(lambda x: x << 200))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        k = data.draw(st.integers(min_value=0, max_value=n - 1))
+        shift = data.draw(st.one_of(st.sampled_from([-2, -1, 1, 2]), far))
+        terms[k] += shift
+    _same_fold(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=1, max_size=40))
+@example([1, 100])
+@example([1, 1, 2, 3, 5, 8])
+@example([1, 1, 2, 3, 5, 7])
+@example([0])
+def test_offset_fold_matches_the_integer_numerators_on_any_terms(terms):
+    _same_fold(terms)
 
 
 # --- the ceiling-iteration constant ---

@@ -745,7 +745,7 @@ def test_ilog_matches_the_binary_search_on_random_inputs():
 
 
 def test_ilog_matches_the_binary_search_next_to_prime_powers():
-    # x = 0 comes in at k = 0: _le_scaled takes the log of a threshold of 0
+    # x = 0 comes in at k = 0, below the docstring's x >= 1; the two agree there too
     for p in ILOG_PRIMES:
         for k in range(300):
             for x in (p**k - 1, p**k, p**k + 1):
@@ -822,6 +822,25 @@ def test_walk_jumps_to_the_qualifying_step(e_big, t_exp):
     assert pair == DivisorPair(2 ** (e_big - t_exp + 1), 3 * 2 ** (t_exp - 1))
     if e_big < 10**5:
         assert _min_gap_step(f, 2**t_exp) == stepping_min_gap_step(f, 2**t_exp)
+
+
+def test_walk_takes_the_threshold_log_once(monkeypatch):
+    # 36 chains, each testing one or more candidates; the log of the
+    # threshold is one per walk. At these thresholds the chain (42525, 1)
+    # does not jump; its jump would take the log of threshold // 1 as well
+    logs = []
+
+    def counted(x, p):
+        logs.append(x)
+        return _ilog(x, p)
+
+    monkeypatch.setattr(divisors, "_ilog", counted)
+    f = Factorization(((2, 40), (3, 5), (5, 2), (7, 1)))
+    for threshold in (12345, 30000, 10**5 + 3):
+        logs.clear()
+        got = _min_gap_step(f, threshold)
+        assert logs.count(threshold) == 1
+        assert got == stepping_min_gap_step(f, threshold)
 
 
 def test_walk_matches_the_merge_on_the_sequence_products():

@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from divgap.errors import ResourceLimit, SimulationCapExceeded
 from divgap.josephus import (
+    BIT_OP_LIMIT,
     MOVE_LIMIT,
     SIMULATION_CAP,
-    STEP_LIMIT,
     SurvivorResult,
     _labels,
+    _step_limit,
     ow_sequence,
     survivor_recurrence,
     survivor_simulation,
@@ -295,8 +296,9 @@ def test_simulation_refuses_a_predicted_move_count_above_the_limit():
 
 
 def test_ow_refuses_a_step_count_above_the_limit():
-    # q * bit_length((q - 1) * n) is 40000 * 25, exactly the limit, at n = 500
-    assert STEP_LIMIT == 10**6
+    # q * bit_length((q - 1) * n) is 40000 * 25, exactly the limit for terms
+    # up to a machine word, at n = 500
+    assert BIT_OP_LIMIT == 10**6 * 64
     assert survivor_via_ow(500, 40000).survivor == survivor_recurrence(500, 40000).survivor
     with pytest.raises(ResourceLimit):
         survivor_via_ow(500, 40001)
@@ -309,8 +311,32 @@ def test_ow_refuses_a_step_count_above_the_limit():
 def test_ow_limit_admits_the_largest_benchmarked_games():
     # the survivors benchmark runs --algo ow at q <= 7 and n < 10^303
     n = 10**303 - 1
-    assert 7 * (6 * n).bit_length() < 10**4 < STEP_LIMIT
+    assert 7 * (6 * n).bit_length() ** 2 < 10**7 < BIT_OP_LIMIT
     assert survivor_via_ow(n, 7).survivor == survivor_recurrence(n, 7).survivor
+
+
+def test_machine_size_terms_keep_a_million_steps():
+    # up to a machine word a step costs the same, so every game on terms
+    # that fit one is held to 10^6 steps
+    for widest in (1, 2, 10**6, 2**63, 2**64 - 1):
+        assert _step_limit(widest) == 10**6
+    assert _step_limit(2**64) < 10**6
+
+
+@pytest.mark.parametrize("route", [survivor_recurrence, survivor_via_ow])
+def test_wide_terms_are_refused_by_their_bit_operations(route):
+    # n = 2^100000 at q = 2 is 2 * 10^5 steps on 10^5-bit terms
+    for n in (2**100000, 2**500000):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="--q or --n"):
+            route(n, 2)
+        assert time.perf_counter() - start < 0.05
+    # the widest games admitted at q = 2 and q = 7 stay quick
+    for q, bits in ((2, 5600), (7, 3000)):
+        n = (1 << bits) - 1
+        start = time.perf_counter()
+        assert route(n, q).survivor >= 1
+        assert time.perf_counter() - start < 1.0
 
 
 def recurrence_iterations(n, q):

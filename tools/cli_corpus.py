@@ -160,6 +160,13 @@ def commands() -> list[list[str]]:
     for argv in (["seq", "b", "--max", "200", "--digit-limit", "10"],
                  ["theorem", "--max", "12", "--path", "oracle", "--oracle-bound", "1000"]):
         out += [argv, argv + ["--json"]]
+    # the growth-constraint fold at twice the benchmark's 5000 terms
+    out += [["constants", "c", "--terms", "10000"],
+            ["verify", "relation", "--terms", "10000", "--json"]]
+    # a survivor game refused by its bit operations: 486,000 steps on
+    # 162-bit terms
+    argv = ["josephus", "--n", str(10**45), "--q", "3000", "--algo", "ow"]
+    out += [argv, argv + ["--json"]]
     return out
 
 
