@@ -4,101 +4,76 @@ and certified rational enclosures of their limit constants.
 Everything is integer or Fraction arithmetic; no floating point enters any
 certified path. Each headline result is computable by at least two
 independent routes, and the test suite holds the routes to agreement.
-"""
 
-from .constants import (
-    DEFAULT_TERMS,
-    RelationReport,
-    c_enclosure,
-    k3_enclosure,
-    relation_check,
-)
-from .divisors import (
-    DIVISOR_CAP,
-    ORACLE_BOUND,
-    DivisorPair,
-    Factorization,
-    check_divisor_count_law,
-    check_middle_pair_law,
-    delta,
-    delta_above,
-    delta_pair,
-    divisor_count,
-    divisor_list,
-    divisor_list_factored,
-    factorize,
-    gap_factorization,
-)
-from .errors import (
-    DivgapError,
-    EmptyIntersection,
-    InsufficientPrecision,
-    NoQualifyingPair,
-    OracleBoundExceeded,
-    ResourceLimit,
-    SimulationCapExceeded,
-)
-from .intervals import DigitCertificate, RationalInterval, render_digits
-from .josephus import (
-    SIMULATION_CAP,
-    SurvivorResult,
-    ow_sequence,
-    survivor_recurrence,
-    survivor_simulation,
-    survivor_via_ow,
-)
-from .report import CheckRecord, VerificationReport
-from .sequences import (
-    SequenceReport,
-    a_seq,
-    b_closed_form,
-    b_seq,
-    verify_theorem,
-)
+`import divgap` loads no submodule: each public name, and each submodule
+such as `divgap.divisors`, is imported on first use (PEP 562), so a command
+that needs one module does not pay for the others.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckRecord",
-    "DEFAULT_TERMS",
-    "DIVISOR_CAP",
-    "DigitCertificate",
-    "DivgapError",
-    "DivisorPair",
-    "EmptyIntersection",
-    "Factorization",
-    "InsufficientPrecision",
-    "NoQualifyingPair",
-    "ORACLE_BOUND",
-    "OracleBoundExceeded",
-    "RationalInterval",
-    "RelationReport",
-    "ResourceLimit",
-    "SIMULATION_CAP",
-    "SequenceReport",
-    "SimulationCapExceeded",
-    "SurvivorResult",
-    "VerificationReport",
-    "a_seq",
-    "b_closed_form",
-    "b_seq",
-    "c_enclosure",
-    "check_divisor_count_law",
-    "check_middle_pair_law",
-    "delta",
-    "delta_above",
-    "delta_pair",
-    "divisor_count",
-    "divisor_list",
-    "divisor_list_factored",
-    "factorize",
-    "gap_factorization",
-    "k3_enclosure",
-    "ow_sequence",
-    "relation_check",
-    "render_digits",
-    "survivor_recurrence",
-    "survivor_simulation",
-    "survivor_via_ow",
-    "verify_theorem",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "DEFAULT_TERMS": "errors",
+    "DIVISOR_CAP": "errors",
+    "ORACLE_BOUND": "errors",
+    "SIMULATION_CAP": "errors",
+    "DivgapError": "errors",
+    "EmptyIntersection": "errors",
+    "InsufficientPrecision": "errors",
+    "NoQualifyingPair": "errors",
+    "OracleBoundExceeded": "errors",
+    "ResourceLimit": "errors",
+    "SimulationCapExceeded": "errors",
+    "RelationReport": "constants",
+    "c_enclosure": "constants",
+    "k3_enclosure": "constants",
+    "relation_check": "constants",
+    "DivisorPair": "divisors",
+    "Factorization": "divisors",
+    "check_divisor_count_law": "divisors",
+    "check_middle_pair_law": "divisors",
+    "delta": "divisors",
+    "delta_above": "divisors",
+    "delta_pair": "divisors",
+    "divisor_count": "divisors",
+    "divisor_list": "divisors",
+    "divisor_list_factored": "divisors",
+    "factorize": "divisors",
+    "gap_factorization": "divisors",
+    "DigitCertificate": "intervals",
+    "RationalInterval": "intervals",
+    "render_digits": "intervals",
+    "SurvivorResult": "josephus",
+    "ow_sequence": "josephus",
+    "survivor_recurrence": "josephus",
+    "survivor_simulation": "josephus",
+    "survivor_via_ow": "josephus",
+    "CheckRecord": "report",
+    "VerificationReport": "report",
+    "SequenceReport": "sequences",
+    "a_seq": "sequences",
+    "b_closed_form": "sequences",
+    "b_seq": "sequences",
+    "verify_theorem": "sequences",
+}
+_SUBMODULES = {*_EXPORTS.values(), "cli"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -12,45 +12,23 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from math import floor
 
-from .constants import (
-    DEFAULT_TERMS,
-    c_enclosure,
-    k3_enclosure,
-    relation_check,
-)
-from .divisors import (
-    BRUTE_UP_TO,
-    DIVISOR_CAP,
-    ORACLE_BOUND,
-    check_divisor_count_law,
-    check_middle_pair_law,
-    delta,
-    delta_above,
-    delta_pair,
-    divisor_count,
-    divisor_list_factored,
-    factorize,
-)
+# Building the parser loads nothing of the library but errors.py, which holds
+# every default the parser shows; each handler imports the modules it runs
 from .errors import (
+    A_PATHS,
+    DEFAULT_TERMS,
+    DIVISOR_CAP,
     EXIT_FINDING,
     EXIT_OK,
     EXIT_USAGE,
+    ORACLE_BOUND,
+    SIMULATION_CAP,
     DivgapError,
     InsufficientPrecision,
     ResourceLimit,
 )
-from .intervals import LOG10_2_UPPER, decimal_str, render_digits
-from .josephus import (
-    SIMULATION_CAP,
-    survivor_recurrence,
-    survivor_simulation,
-    survivor_via_ow,
-)
-from .report import CheckRecord
-from .sequences import A_PATHS, a_seq, b_seq, verify_theorem
 
 C_REFERENCE_26 = "0.36050455619661495910154466"
 # places c and (2/9)*K3 must share for the relation to count as reproduced
@@ -66,17 +44,19 @@ DIGIT_PRINT_LIMIT = 10**6
 _NOT_PARAMETERS = ("command", "json", "bfile", "handler")
 
 
-def _jsonable(x):
+def _jsonable(x, decimal_str):
     if x is None or isinstance(x, (bool, str)):
         return x
     if isinstance(x, int):
         return decimal_str(x)
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v, decimal_str) for v in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v, decimal_str) for k, v in x.items()}
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -88,11 +68,15 @@ def _command_label(args) -> str:
 
 
 def _envelope(args, result, status) -> dict:
+    # integers render through intervals, imported once per envelope rather
+    # than once per integer
+    from .intervals import decimal_str
+
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     return {
         "command": _command_label(args),
-        "parameters": _jsonable(params),
-        "result": _jsonable(result),
+        "parameters": _jsonable(params, decimal_str),
+        "result": _jsonable(result, decimal_str),
         "status": status,
     }
 
@@ -105,6 +89,9 @@ def _envelope(args, result, status) -> dict:
 
 
 def _cmd_seq(args) -> tuple[dict, list[str], bool]:
+    from .intervals import LOG10_2_UPPER, decimal_str
+    from .sequences import a_seq, b_seq
+
     if args.which == "a":
         rep = a_seq(args.max, args.path, oracle_bound=args.oracle_bound)
     else:
@@ -132,6 +119,8 @@ def _cmd_seq(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_delta(args) -> tuple[dict, list[str], bool]:
+    from .divisors import delta_above, delta_pair
+
     if args.above is not None:
         pair = delta_above(args.m, args.above, oracle_bound=args.oracle_bound)
     else:
@@ -147,6 +136,8 @@ def _cmd_delta(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_divisors(args) -> tuple[dict, list[str], bool]:
+    from .divisors import divisor_count, divisor_list_factored, factorize
+
     f = factorize(args.m, oracle_bound=args.oracle_bound)
     count = divisor_count(f)
     if args.count_only:
@@ -157,6 +148,9 @@ def _cmd_divisors(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_theorem(args) -> tuple[dict, list[str], bool]:
+    from .intervals import decimal_str
+    from .sequences import verify_theorem
+
     rep = verify_theorem(args.max, args.path, oracle_bound=args.oracle_bound)
     lines = [
         f"n={r.index} gap=2^{decimal_str(r.actual) if r.actual is not None else '?'} "
@@ -181,6 +175,8 @@ def _cmd_theorem(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
+    from .divisors import check_divisor_count_law, check_middle_pair_law
+
     if args.which == "1":
         rep = check_divisor_count_law(args.max_k)
         summary = f"divisor count of 3*2^k equals 2k+2 for k=1..{args.max_k}"
@@ -216,6 +212,8 @@ def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_josephus(args) -> tuple[dict, list[str], bool]:
+    from .josephus import survivor_recurrence, survivor_simulation, survivor_via_ow
+
     runs = []
     if args.algo in ("recurrence", "all"):
         runs.append(survivor_recurrence(args.n, args.q))
@@ -237,6 +235,9 @@ def _cmd_josephus(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_constants(args) -> tuple[dict, list[str], bool]:
+    from .constants import c_enclosure, k3_enclosure
+    from .intervals import render_digits
+
     enclosure = c_enclosure if args.which == "c" else k3_enclosure
     iv = enclosure(args.terms)
     cert = render_digits(iv, args.digits or args.terms)
@@ -254,6 +255,8 @@ def _cmd_constants(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_verify(args) -> tuple[dict, list[str], bool]:
+    from .constants import relation_check
+
     rel = relation_check(args.terms)
     if rel.overlap and rel.agreeing_places < args.min_places:
         raise InsufficientPrecision(
@@ -286,7 +289,7 @@ def _row(claim: str, reference: str, computed: str, ok: bool, finding: bool = Fa
     return {"claim": claim, "reference": reference, "computed": computed, "verdict": verdict}
 
 
-def _check_row(claim: str, reference: str, records: tuple[CheckRecord, ...], agreed: str,
+def _check_row(claim: str, reference: str, records: tuple, agreed: str,
                counted: bool = False) -> dict:
     """The row for a run of check records: agreed when every record passes."""
     ok = all(r.passed for r in records)
@@ -305,6 +308,11 @@ def reproduce(fast_only: bool = False, terms: int = DEFAULT_TERMS) -> tuple[list
     relation does, unless a certified digit disagrees with the reference:
     that is a failed row.
     """
+    from .constants import relation_check
+    from .divisors import BRUTE_UP_TO, check_divisor_count_law, check_middle_pair_law, delta
+    from .intervals import render_digits
+    from .sequences import a_seq, b_seq, verify_theorem
+
     rel = relation_check(terms)
     cert = render_digits(rel.c_interval, terms)
     places = len(C_REFERENCE_26) - 2

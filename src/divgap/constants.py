@@ -15,11 +15,10 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import EmptyIntersection
+from .errors import DEFAULT_TERMS, EmptyIntersection  # noqa: F401 (DEFAULT_TERMS: public here)
 from .intervals import RationalInterval, render_digits
 from .sequences import b_terms
 
-DEFAULT_TERMS = 200
 K3_SCALE = Fraction(2, 9)
 
 

@@ -13,16 +13,17 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt, log
 
-from .errors import NoQualifyingPair, OracleBoundExceeded, ResourceLimit, brief
+from .errors import (
+    DIVISOR_CAP,
+    MAX_K_LIMIT,
+    ORACLE_BOUND,
+    NoQualifyingPair,
+    OracleBoundExceeded,
+    ResourceLimit,
+    brief,
+)
 from .report import CheckedRecord, CheckRecord, VerificationReport
 
-# Trial division stays interactive up to here. Its worst case is a prime m:
-# the oracle's downward scan from isqrt(m) then makes all 10^7 probes and
-# factorize its 5 * 10^6 odd ones, about 0.75 s each near 10^14 (2-core
-# Xeon, CPython 3.11).
-ORACLE_BOUND = 10**14
-# Refusal point for materializing a full divisor list from a factorization.
-DIVISOR_CAP = 10**7
 # Both 3*2^k laws are also recomputed by trial division up to this k: the
 # divisor count by enumerating every divisor, the minimal gap by the oracle.
 BRUTE_UP_TO = 30
@@ -460,14 +461,24 @@ def gap_factorization(
 # --- verification suites for the 3*2^k laws ---
 
 
+def _check_max_k(max_k: int) -> None:
+    """Refuse a 3*2^k law's range before any record is built."""
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    if max_k > MAX_K_LIMIT:
+        raise ResourceLimit(
+            f"max_k={brief(max_k)} is above the limit {MAX_K_LIMIT} "
+            "(one record is kept per k); lower --max-k"
+        )
+
+
 def check_divisor_count_law(max_k: int) -> VerificationReport:
     """Check that 3 * 2**k has exactly 2k+2 divisors for k = 1..max_k.
 
     The exponent formula is checked for every k; full enumeration backs it
     up for k up to BRUTE_UP_TO, through both enumeration routes.
     """
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    _check_max_k(max_k)
     records = []
     for k in range(1, max_k + 1):
         f = Factorization(((2, k), (3, 1)))
@@ -495,8 +506,7 @@ def check_middle_pair_law(max_k: int) -> VerificationReport:
     at k = 4, where enumeration gives gap 2, so the report carries that as a
     note rather than a failure.
     """
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    _check_max_k(max_k)
     records = []
     for k in range(1, max_k + 1):
         # 3 * 2**k is never a square, so its minimal gap is above 0

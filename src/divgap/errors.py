@@ -1,4 +1,29 @@
-"""Exception types shared across the library, with the CLI status each maps to."""
+"""Exception types shared across the library, with the CLI status each maps to,
+and the caps and defaults the command line shows.
+
+This module imports nothing, so the command line can build its parser
+without loading the modules whose caps it shows; those modules import the
+values back from here.
+"""
+
+# Trial division stays interactive up to here. Its worst case is a prime m:
+# the oracle's downward scan from isqrt(m) then makes all 10^7 probes and
+# factorize its 5 * 10^6 odd ones, about 0.75 s each near 10^14 (2-core
+# Xeon, CPython 3.11).
+ORACLE_BOUND = 10**14
+# Refusal point for materializing a full divisor list from a factorization.
+DIVISOR_CAP = 10**7
+# Largest circle the explicit simulation accepts.
+SIMULATION_CAP = 10**6
+# Ceiling-recurrence terms behind the certified constants by default.
+DEFAULT_TERMS = 200
+# Largest k either 3*2^k law checks. Both keep one record per k; at this
+# limit a process takes 1.2-1.5 s for the middle-pair law and 0.3-0.5 s for
+# the divisor-count law, whose records peak at 18 MiB (2-core Xeon, CPython
+# 3.11). 10^8 would need about 18 GB.
+MAX_K_LIMIT = 10**5
+# The two routes to the gap sequence: trial division and the exponent-space walk.
+A_PATHS = ("oracle", "factored")
 
 EXIT_OK = 0
 EXIT_USAGE = 2

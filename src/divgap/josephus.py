@@ -14,10 +14,9 @@ import sys
 from array import array
 from collections import namedtuple
 
-from .errors import ResourceLimit, SimulationCapExceeded, brief
+from .errors import SIMULATION_CAP, ResourceLimit, SimulationCapExceeded, brief
 from .report import CheckedRecord
 
-SIMULATION_CAP = 10**6
 # most array entries survivor_simulation's lap deletions may be predicted to
 # move; n = 10^5 with q >= n sits at it and takes about 0.4 s (2-core Xeon,
 # CPython 3.11)

@@ -14,17 +14,11 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil
 
-from .divisors import (
-    ORACLE_BOUND,
-    Factorization,
-    delta_above,
-    gap_factorization,
-)
-from .errors import InsufficientPrecision
+from .divisors import Factorization, delta_above, gap_factorization
+from .errors import A_PATHS, ORACLE_BOUND, InsufficientPrecision
 from .intervals import RationalInterval
 from .report import CheckRecord, VerificationReport
 
-A_PATHS = ("oracle", "factored")
 # verify_theorem re-derives the factored path's gaps by trial division while
 # the partial product stays below this; each costs at most isqrt(bound) steps.
 # It is also that trial division's bound, so the cross-check never refuses a

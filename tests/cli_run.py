@@ -3,13 +3,17 @@
 run_cli captures stdout and stderr as the benchmark's job loop and
 tools/cli_corpus.py do, and hands back what a process would: the exit code,
 stdout and stderr. Tests that check the process itself (the entry point,
-the import set, hash seeds, a hang caught by a timeout) start one instead.
+the import set, hash seeds, a hang caught by a timeout) start one instead;
+fresh_interpreter is the one way they read an import set.
 """
 
 import io
+import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from subprocess import CompletedProcess
 from unittest.mock import patch
 
@@ -38,3 +42,13 @@ def run_cli(*args: str) -> CompletedProcess:
         if GUARDED:
             sys.set_int_max_str_digits(guard)
     return CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def fresh_interpreter(code: str, *args: str):
+    """The JSON that code prints in a fresh -S interpreter on this tree's src/."""
+    # -S: no site, so nothing a site hook preloads can hide an import
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

@@ -58,3 +58,38 @@ def test_committed_bench_files_hold_complete_correct_runs():
                 runs = section["runs"][side]
                 assert [r["seed"] for r in runs] == section["seeds"], where
                 assert all(r["correct"] and r["failed"] == 0 for r in runs), where
+
+
+def test_setup_alternates_the_trees_and_summarizes_each_side(tmp_path, monkeypatch):
+    order = []
+
+    def spawn(tree):
+        order.append(tree.name)
+        return {"parent": 0.070, "change": 0.058}[tree.name]
+
+    monkeypatch.setattr(bench_pair, "_setup_spawn", spawn)
+    trees = {side: tmp_path / side for side in bench_pair.SIDES}
+    section = bench_pair.cmd_setup(None, trees)
+    assert section["spawns"] == bench_pair.SETUP_SPAWNS >= 60
+    assert order[:4] == ["parent", "change", "change", "parent"]
+    assert order.count("parent") == order.count("change") == bench_pair.SETUP_SPAWNS
+    summary = section["setup_s"]
+    assert summary["change_wins"] == summary["pairs"] == bench_pair.SETUP_SPAWNS
+    assert summary["parent"]["median"] == 0.070 and summary["change"]["median"] == 0.058
+    assert len(section["samples"]["change"]) == bench_pair.SETUP_SPAWNS
+
+
+def test_setup_writes_its_own_section_and_keeps_the_others(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pair, "_setup_spawn", lambda tree: 0.06)
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"pairs": {"desk": {}}}))
+    assert bench_pair.main(["setup", "--parent", str(ROOT), "--change", str(ROOT),
+                            "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["pairs"] == {"desk": {}}
+    assert doc["setup"]["setup_s"]["pairs"] == bench_pair.SETUP_SPAWNS
+    assert "machine" in doc
+
+
+def test_one_setup_spawn_times_the_child_of_that_tree():
+    assert 0 < bench_pair._setup_spawn(ROOT) < 30

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from cli_run import run_cli
+from cli_run import fresh_interpreter, run_cli
 
 import divgap
 
@@ -250,16 +250,56 @@ def test_seq_json_terms_match_the_plain_lines(which, last):
 
 
 def test_import_leaves_out_dataclasses_inspect_and_typing():
-    code = (
-        "import sys, divgap, divgap.cli; divgap.cli.build_parser(); "
-        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    loaded = fresh_interpreter(
+        "import json, sys, divgap, divgap.cli; divgap.cli.build_parser(); "
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in "
+        "('divgap', 'dataclasses', 'inspect', 'typing', 'fractions', 'decimal')]))"
     )
-    # -S: no site, so nothing a site hook preloads can hide an import
-    env = {**os.environ, "PYTHONPATH": str(Path(divgap.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    # the parser shows its defaults from errors.py; no library module loads
+    assert sorted(loaded) == ["divgap", "divgap.cli", "divgap.errors"]
+
+
+# the divgap modules besides cli and errors that each subcommand loads in a
+# fresh interpreter, and whether fractions and decimal load with them
+RUNS_ONLY = [
+    (("josephus", "--n", "10", "--q", "2"), {"josephus", "report"}, False),
+    (("delta", "48"), {"divisors", "report"}, False),
+    (("divisors", "48"), {"divisors", "report"}, False),
+    (("lemma", "1"), {"divisors", "report"}, False),
+    (("lemma", "2"), {"divisors", "report"}, False),
+    (("seq", "a", "--max", "7"), {"divisors", "report", "sequences", "intervals"}, True),
+    (("theorem", "--max", "10"), {"divisors", "report", "sequences", "intervals"}, True),
+    (("constants", "k3"),
+     {"divisors", "report", "sequences", "intervals", "constants"}, True),
+    (("verify", "relation"),
+     {"divisors", "report", "sequences", "intervals", "constants"}, True),
+    (("reproduce", "--fast-only"),
+     {"divisors", "report", "sequences", "intervals", "constants"}, True),
+]
+
+
+@pytest.mark.parametrize("args, modules, numeric", RUNS_ONLY,
+                         ids=[" ".join(args) for args, _, _ in RUNS_ONLY])
+def test_each_subcommand_imports_only_what_it_runs(args, modules, numeric):
+    # a fresh process, because an in-process run can pass on modules an
+    # earlier test already imported where a user's first run would fail
+    code, out, err, loaded = fresh_interpreter(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from divgap import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with redirect_stdout(out), redirect_stderr(err):\n"
+        "    code = cli.run(sys.argv[1:])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('divgap', 'fractions', 'decimal')]\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), loaded]))",
+        *args,
+    )
+    ours = run_cli(*args)
+    assert (code, out, err) == (ours.returncode, ours.stdout, ours.stderr)
+    assert code == 0
+    assert set(loaded) == ({"divgap", "divgap.cli", "divgap.errors"}
+                           | {f"divgap.{m}" for m in modules}
+                           | ({"fractions", "decimal"} if numeric else set()))
 
 
 def test_envelope_round_trips():
@@ -498,6 +538,25 @@ def test_simulation_refuses_at_once(game, json_flag):
     assert proc.returncode == 3
     assert elapsed < 0.25
     assert "--algo recurrence" in err
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top["status"] == "error"
+        assert dict(top["result"])["error"] == "ResourceLimit"
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_lemma_refuses_a_huge_max_k_at_once(which, json_flag):
+    # 10^8 records would need about 18 GB; the limit refuses before any
+    start = time.perf_counter()
+    proc = run_cli("lemma", which, "--max-k", str(10**8), *json_flag)
+    elapsed = time.perf_counter() - start
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
+    assert elapsed < 0.05
+    assert "--max-k" in err
     if json_flag:
         top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
         assert top["status"] == "error"

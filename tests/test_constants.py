@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from cli_run import run_cli
 
-import divgap.cli
 import divgap.constants
 from divgap.constants import (
     DEFAULT_TERMS,
@@ -557,9 +556,8 @@ def test_constants_command_builds_its_enclosure_once(which, name, monkeypatch):
         calls.append(n_terms)
         return real(n_terms)
 
-    # the cli and the digit helpers each look the name up in their own module
-    for module in (divgap.cli, divgap.constants):
-        monkeypatch.setattr(module, name, counted)
+    # the cli's handler imports the name from divgap.constants when it runs
+    monkeypatch.setattr(divgap.constants, name, counted)
     proc = run_cli("constants", which, "--terms", "300")
     assert proc.returncode == 0
     assert calls == [300]

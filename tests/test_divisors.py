@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from divgap import divisors
 from divgap.divisors import (
     DIVISOR_CAP,
+    MAX_K_LIMIT,
     ORACLE_BOUND,
     DivisorPair,
     Factorization,
@@ -1016,6 +1017,21 @@ def test_law_reports_reject_bad_ranges():
         check_divisor_count_law(0)
     with pytest.raises(ValueError):
         check_middle_pair_law(-3)
+
+
+@pytest.mark.parametrize("law", [check_divisor_count_law, check_middle_pair_law])
+def test_law_reports_refuse_a_range_above_the_limit_before_any_record(law):
+    assert MAX_K_LIMIT == 10**5
+    tracemalloc.start()
+    try:
+        for max_k in (MAX_K_LIMIT + 1, 10**8, 10**400):
+            with pytest.raises(ResourceLimit, match="--max-k") as info:
+                law(max_k)
+            assert len(str(info.value)) < 200
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_default_bounds_are_sane():

@@ -12,6 +12,7 @@ Usage, from the repository root:
     python3 tools/bench_pair.py sweep --parent DIR --change DIR \\
         --function divgap.intervals.render_digits --grid max_places=1000,10000 \\
         --build iv=divgap.constants.k3_enclosure:max_places --out BENCH_7.json
+    python3 tools/bench_pair.py setup --parent DIR --change DIR --out BENCH_20.json
 
 DIR is a checkout of the tree to measure (for example a `git archive` of
 one commit). `pairs` runs `divbench/run.py --trace 0` once per seed on each
@@ -23,9 +24,15 @@ arguments, SWEEP_ROUNDS rounds of SWEEP_CALLS timed calls per point,
 alternating trees round by round, and records median seconds and the
 tracemalloc peak per grid point. `--build NAME=MAKER:KEY` passes the
 function a keyword NAME made, untimed, by the tree's own MAKER from the
-point's KEY value, for functions whose arguments are not integers. Both
-merge their section into --out and copy `divbench/machine.json` from the
-change tree.
+point's KEY value, for functions whose arguments are not integers. `setup`
+spawns each tree's `divbench/child.py --setup-only` SETUP_SPAWNS times,
+alternating trees spawn by spawn, and times each from spawn to the "ready"
+moment the child prints, as divbench's `measure_setup` does but unscaled and
+over many more spawns; it records every sample with each side's median,
+quartiles and the change's win count, pairing the i-th spawns. Children get
+the caller's environment, so run it under PYTHONDONTWRITEBYTECODE=1 to time
+what the benchmark times. Each command merges its section into --out and
+copies `divbench/machine.json` from the change tree.
 Only the standard library is used.
 """
 
@@ -39,12 +46,14 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 RUN_GRACE_S = 600
 SWEEP_ROUNDS = 5  # fresh interpreters per tree, alternating which goes first
 SWEEP_CALLS = 5  # timed calls per grid point per round
+SETUP_SPAWNS = 60  # set-up children per tree, alternating which goes first
 
 # Runs in a fresh interpreter with the tree's src/ first on sys.path; argv is
 # the function's dotted name, the JSON list of keyword dicts, the number of
@@ -124,6 +133,27 @@ def cmd_pairs(args, trees: dict[str, Path]) -> dict:
             "metrics": metrics, "runs": runs}
 
 
+def _setup_spawn(tree: Path) -> float:
+    """Seconds from spawning tree's `child.py --setup-only` to the ready moment it prints."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    t0 = time.clock_gettime(time.CLOCK_MONOTONIC)
+    proc = subprocess.run([sys.executable, str(tree / "divbench" / "child.py"), "--setup-only"],
+                          cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=RUN_GRACE_S, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])["ready"] - t0
+
+
+def cmd_setup(args, trees: dict[str, Path]) -> dict:
+    samples = {side: [] for side in SIDES}
+    for i in range(SETUP_SPAWNS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            samples[side].append(_setup_spawn(trees[side]))
+    return {"spawns": SETUP_SPAWNS,
+            "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "setup_s": summarize(samples, "lower"), "samples": samples}
+
+
 def _grid(specs: list[str]) -> list[dict]:
     axes = []
     for spec in specs:
@@ -170,7 +200,7 @@ def cmd_sweep(args, trees: dict[str, Path]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("pairs", "sweep"):
+    for name in ("pairs", "sweep", "setup"):
         p = sub.add_parser(name)
         p.add_argument("--parent", type=Path, required=True)
         p.add_argument("--change", type=Path, required=True)
@@ -196,12 +226,16 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "divbench" / "run.py").is_file():
             ap.error(f"--{side} {tree} has no divbench/run.py")
-    section = cmd_pairs(args, trees) if args.command == "pairs" else cmd_sweep(args, trees)
+    commands = {"pairs": cmd_pairs, "sweep": cmd_sweep, "setup": cmd_setup}
+    section = commands[args.command](args, trees)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = json.loads((trees["change"] / "divbench" / "machine.json").read_text())
-    key = args.workload if args.command == "pairs" else " ".join([args.function, *args.build])
-    doc.setdefault(args.command, {})[key] = section
+    if args.command == "setup":
+        doc["setup"] = section
+    else:
+        key = args.workload if args.command == "pairs" else " ".join([args.function, *args.build])
+        doc.setdefault(args.command, {})[key] = section
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -167,6 +167,10 @@ def commands() -> list[list[str]]:
     # 162-bit terms
     argv = ["josephus", "--n", str(10**45), "--q", "3000", "--algo", "ow"]
     out += [argv, argv + ["--json"]]
+    # both 3*2^k laws one k past their --max-k limit
+    for which in ("1", "2"):
+        argv = ["lemma", which, "--max-k", "100001"]
+        out += [argv, argv + ["--json"]]
     return out
 
 
