@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from math import floor
 
@@ -58,6 +57,13 @@ def _jsonable(x, decimal_str):
     if isinstance(x, Fraction):
         return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _print_json(payload: dict) -> None:
+    # only --json output loads json
+    import json
+
+    print(json.dumps(payload))
 
 
 def _command_label(args) -> str:
@@ -445,6 +451,42 @@ def _positive_int(text: str) -> int:
 
 
 @functools.cache
+def _survivor_n_digits() -> int:
+    """Decimal digits of the largest n any survivor route admits."""
+    from .josephus import largest_admitted_n
+
+    return len(str(largest_admitted_n()))
+
+
+def _survivor_n(text: str) -> int:
+    """josephus --n as int(text), refused by its digit count before int() reads it.
+
+    int() is quadratic in the digits: a 300,000-digit n takes 0.7 s to parse
+    before any route refuses it. The count drops what int() accepts around
+    the digits (whitespace, one sign, underscores) and leading zeros.
+    """
+    body = text.strip()
+    negative = body[:1] == "-"
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    digits = len(body.replace("_", "").lstrip("0"))
+    limit = _survivor_n_digits()
+    if digits > limit:
+        if negative:
+            raise argparse.ArgumentTypeError(
+                f"must be at least 1, got a negative value of {digits} digits")
+        raise ResourceLimit(
+            f"--n has {digits} digits, above the {limit} of the largest n any survivor "
+            "route admits; lower --n"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every run()."""
     common = argparse.ArgumentParser(add_help=False)
@@ -496,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lemma)
 
     p = sub.add_parser("josephus", parents=[common], help="circle-game survivor")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_survivor_n, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", choices=["recurrence", "simulation", "ow", "all"], default="all")
     p.add_argument("--sim-cap", type=_positive_int, default=SIMULATION_CAP)
@@ -529,8 +571,18 @@ def _emit_failure(args, exc: Exception, status: str, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if getattr(args, "json", False):
         result = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(_envelope(args, result, status)))
+        _print_json(_envelope(args, result, status))
     return code
+
+
+def _parse_failure(exc: DivgapError, command: str | None, report: str, argv: list[str]) -> int:
+    """Report an error raised while parsing, with an envelope under --json."""
+    sys.stderr.write(report)
+    if _json_requested(argv):
+        result = {"error": type(exc).__name__, "message": str(exc)}
+        _print_json({"command": command, "parameters": {}, "result": result,
+                     "status": exc.status})
+    return exc.exit_code
 
 
 def run(argv=None) -> int:
@@ -547,15 +599,15 @@ def run(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
         sys.set_int_max_str_digits(wanted)
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        sys.stderr.write(exc.report)
-        if _json_requested(sys.argv[1:] if argv is None else argv):
-            result = {"error": "UsageError", "message": str(exc)}
-            print(json.dumps({"command": exc.command, "parameters": {}, "result": result,
-                              "status": exc.status}))
-        return exc.exit_code
+        return _parse_failure(exc, exc.command, exc.report, argv)
+    except ResourceLimit as exc:
+        # only josephus --n is refused while parsing (_survivor_n)
+        return _parse_failure(exc, "josephus", f"error: {exc}\n", argv)
     except SystemExit:
         return EXIT_OK  # --help, printed in full
     if getattr(args, "bfile", False) and args.command != "seq":
@@ -568,7 +620,7 @@ def run(argv=None) -> int:
     except ValueError as exc:
         return _emit_failure(args, exc, "error", EXIT_USAGE)
     if args.json:
-        print(json.dumps(_envelope(args, result, "ok" if ok else "finding")))
+        _print_json(_envelope(args, result, "ok" if ok else "finding"))
     else:
         for line in lines:
             print(line)

@@ -2,10 +2,12 @@
 
 The growth constant c of the half-sum ceiling recurrence satisfies
 b(n) = ceil(c * (3/2)**n - 1/2) for every n, so each computed term pins c
-inside an interval of width (2/3)**n; intersecting them certifies digits.
-The circle-game constant K3 is the limit of e(n) * (2/3)**n for the q = 3
-ceiling iteration x -> floor((3x + 1)/2) seeded at 2, which nests by
-construction. relation_check compares c against (2/9) * K3 with no rounding
+inside an interval of width (2/3)**n; intersecting them certifies digits,
+and needs only the parities of the recurrence's running sums, not its
+terms. The circle-game constant K3 is the limit of e(n) * (2/3)**n for the
+q = 3 ceiling iteration x -> floor((3x + 1)/2) seeded at 2, which nests by
+construction. Both 3/2 maps advance eight steps a jump through one table
+builder. relation_check compares c against (2/9) * K3 with no rounding
 anywhere.
 """
 
@@ -14,10 +16,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DEFAULT_TERMS, EmptyIntersection  # noqa: F401 (DEFAULT_TERMS: public here)
 from .intervals import RationalInterval, render_digits
-from .sequences import b_terms
 
 K3_SCALE = Fraction(2, 9)
 
@@ -29,18 +31,56 @@ def _steps(x: int, k: int) -> int:
     return x
 
 
+def _jump_table(c: int) -> list[tuple[int, tuple[int, ...]]]:
+    """For step(x) = floor((3x + c)/2) and each L in 0..255: step^8(L) and
+    the parities of L, step(L), ..., step^7(L).
+
+    Both 3/2 maps here, f (c = 1) and g(u) = floor(3u/2) (c = 0), satisfy
+    step(2^j*G + M) = 3*2^(j-1)*G + step(M) for every j >= 1 and integer M,
+    so by induction step^i(2^8*H + L) = 3^i*2^(8-i)*H + step^i(L) for
+    i <= 8: eight steps of a full-size integer are one shift, mask, multiply
+    and add, and the parities of its first eight iterates are its low
+    byte's.
+    """
+    table = []
+    for x in range(256):
+        parities = []
+        for _ in range(8):
+            parities.append(x & 1)
+            x = (3 * x + c) >> 1
+        table.append((x, tuple(parities)))
+    return table
+
+
 # f^8 on 0..255
-_JUMP8 = tuple(_steps(low, 8) for low in range(256))
+_JUMP8 = tuple(x for x, _ in _jump_table(1))
+
+
+def _growth_jump8() -> tuple:
+    """g's table as c_enclosure reads it, per parity p of the previous iterate.
+
+    Entry [p][L] is g^8(L), the eight parity differences from p on, and the
+    last parity. The rows are for p = 0, 1 and -1, so index -1 reads the
+    last: -1 stands for the parity before u_1 (see c_enclosure).
+    """
+    rows = ([], [], [])
+    for g8, parities in _jump_table(0):
+        rest = [q - p for p, q in zip(parities, parities[1:])]
+        for prev in (0, 1, -1):
+            rows[prev].append((g8, (parities[0] - prev, *rest), parities[7]))
+    return tuple(map(tuple, rows))
+
+
+_GROWTH_JUMP8 = _growth_jump8()
 
 
 def _iterate_q3(seed: int, count: int) -> int:
     """The count-th term of x -> floor((3x + 1)/2) from seed, eight steps a jump.
 
-    f(2^j*G + M) = 3*2^(j-1)*G + f(M) for every j >= 1 and integer M, so by
-    induction f^8(2^8*H + L) = 3^8*H + f^8(L): one shift, mask, multiply and
-    add replace eight multiply-add-shift steps on the full-size integer. The
-    last count - 1 mod 8 steps run singly. ow_sequence(3, seed, count)[-1] is
-    the stepwise route to the same term.
+    f^8(2^8*H + L) = 3^8*H + f^8(L) (see _jump_table): one shift, mask,
+    multiply and add replace eight multiply-add-shift steps on the
+    full-size integer. The last count - 1 mod 8 steps run singly.
+    ow_sequence(3, seed, count)[-1] is the stepwise route to the same term.
     """
     x = seed
     for _ in range((count - 1) >> 3):
@@ -48,15 +88,15 @@ def _iterate_q3(seed: int, count: int) -> int:
     return _steps(x, (count - 1) & 7)
 
 
-def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
-    """Intersect the per-index constraints ((b - 1/2), (b + 1/2)] * (2/3)^n.
+def _fold_growth_constraints(steps: Iterable[int]) -> tuple[int, int, int]:
+    """Fold the per-index constraints ((b - 1/2), (b + 1/2)] * (2/3)^n.
 
     Over the denominator 3^n, constraint n is [L_n, H_n] with
     L_n, H_n = (2b_n -+ 1) * 2^(n-1), and the running bounds fold as
     lo_n = max(3 lo_(n-1), L_n) and hi_n = min(3 hi_(n-1), H_n). Both are
     kept as nonnegative offsets from the newest constraint, in units of
     2^(n-1): lo_n = L_n + D * 2^(n-1) and hi_n = H_n - E * 2^(n-1).
-    Substituting, with t = 3b_(n-1) - 2b_n,
+    Substituting, with t_n = 3b_(n-1) - 2b_n,
 
         D' = max((3D + 2t - 1) / 2, 0),  E' = max((3E - 2t - 1) / 2, 0),
 
@@ -68,28 +108,23 @@ def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
     max is 3d + (2t - 1) * 2^k over 2^(k+1), and when the newest constraint
     binds, d and k reset to 0. On the recurrence's own terms t is small and
     the binding constraint is a few terms back, so the offsets stay a few
-    bits wide, and the full-width work per term is t alone; the 1.58n-bit
-    endpoints are rebuilt once at the end. Correctness rests on the
-    identities above, not on how wide the offsets get.
+    bits wide. Correctness rests on the identities above, not on how wide
+    the offsets get.
 
-    An empty running intersection would falsify the ceiling closed form for
-    the supplied terms, so it aborts with the first violating index instead
-    of clamping. The terms are read once, in order, and not kept.
+    steps is t_2, t_3, ..., read once, in order; the fold needs no term.
+    Returns n and the offsets D * 2^(n-1) and E * 2^(n-1): with b_n, they
+    give the endpoints (see _growth_interval). An empty running
+    intersection would falsify the ceiling closed form, so it aborts with
+    the first violating index instead of clamping.
     """
-    terms = iter(terms)
-    prev = next(terms)
     n = 1
     d = kd = e = ke = 0  # D = d / 2^kd, E = e / 2^ke
-    for n, b in enumerate(terms, start=2):
-        t = 3 * prev - 2 * b
-        prev = b
+    for n, t in enumerate(steps, start=2):
         # the offsets before the max, each a numerator over one more power of 2
         d = 3 * d + ((2 * t - 1) << kd)
         e = 3 * e - ((2 * t + 1) << ke)
         if d > 4 << kd or e > 4 << ke:
-            raise EmptyIntersection(
-                f"constraint {n} (term {b}) empties the intersection", index=n
-            )
+            raise EmptyIntersection(f"constraint {n} empties the intersection", index=n)
         if d > 0:
             kd += 1
         else:
@@ -98,10 +133,38 @@ def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
             ke += 1
         else:
             e = ke = 0
+    return n, d << (n - 1 - kd), e << (n - 1 - ke)
+
+
+def _growth_interval(n: int, b: int, lo_offset: int, hi_offset: int) -> RationalInterval:
+    """The folded intersection of constraints 1..n, from b_n and the fold's offsets."""
     den = 3**n
-    lo = ((2 * prev - 1) << (n - 1)) + (d << (n - 1 - kd))
-    hi = ((2 * prev + 1) << (n - 1)) - (e << (n - 1 - ke))
-    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+    return RationalInterval(Fraction(((2 * b - 1) << (n - 1)) + lo_offset, den),
+                            Fraction(((2 * b + 1) << (n - 1)) - hi_offset, den))
+
+
+def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
+    """The growth constraints of any term list b_1, b_2, ..., folded.
+
+    Feeds the fold t_n = 3b_(n-1) - 2b_n from the terms, read once, in
+    order, and not kept; an empty intersection names its index and term.
+    """
+    terms = iter(terms)
+    b = next(terms)
+
+    def steps():
+        nonlocal b
+        for term in terms:
+            t, b = 3 * b - 2 * term, term
+            yield t
+
+    try:
+        n, lo_offset, hi_offset = _fold_growth_constraints(steps())
+    except EmptyIntersection as exc:
+        raise EmptyIntersection(
+            f"constraint {exc.index} (term {b}) empties the intersection", index=exc.index
+        ) from None
+    return _growth_interval(n, b, lo_offset, hi_offset)
 
 
 def c_enclosure(n_terms: int) -> RationalInterval:
@@ -109,10 +172,37 @@ def c_enclosure(n_terms: int) -> RationalInterval:
 
     Monotone in n_terms: more terms always give a subinterval. Width after n
     terms is at most (2/3)**n.
+
+    No term is built. With u_m = b_1 + ... + b_m + 1, the recurrence is
+    b_(m+1) = u_m >> 1 and u_(m+1) = u_m + b_(m+1) = g(u_m) = floor(3u_m / 2),
+    so 2b_n = u_(n-1) - (u_(n-1) mod 2) for n >= 2 and the fold's input is
+    t_n = (u_(n-1) mod 2) - (u_(n-2) mod 2) for n >= 3, while t_2 = 1:
+    that is the same difference with -1 for the parity before u_1 = 2.
+    The parities come eight at a time from g's jump table, one full-width
+    shift, multiply and add per eight terms; the walk stops at u_n, which
+    is 3b_n or 3b_n + 1 for n >= 2 and 2 for n = 1, so b_n = (u_n + 1) // 3.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
-    return _intersect_growth_constraints(b_terms(n_terms))
+    u = 2
+
+    def blocks():
+        nonlocal u
+        p = -1
+        for _ in range((n_terms - 1) >> 3):
+            g8, ts, p = _GROWTH_JUMP8[p][u & 255]
+            yield ts
+            u = 3**8 * (u >> 8) + g8
+        tail = []
+        for _ in range((n_terms - 1) & 7):
+            q = u & 1
+            tail.append(q - p)
+            p = q
+            u += u >> 1
+        yield tail
+
+    n, lo_offset, hi_offset = _fold_growth_constraints(chain.from_iterable(blocks()))
+    return _growth_interval(n, (u + 1) // 3, lo_offset, hi_offset)
 
 
 def k3_enclosure(n_terms: int) -> RationalInterval:

@@ -9,7 +9,6 @@ agrees on it, so every printed digit is a proof, not an estimate.
 from __future__ import annotations
 
 import decimal
-import os
 from collections import namedtuple
 from fractions import Fraction
 from math import floor
@@ -130,10 +129,16 @@ def render_digits(iv: RationalInterval, max_places: int) -> DigitCertificate:
     whole_hi, frac_hi = divmod(hi.numerator * unit // hi.denominator, unit)
     if whole != whole_hi:
         return DigitCertificate("", 0)
-    # zfill(0) keeps the "0" of a zero-depth fraction, which is no digit
-    digits = (os.path.commonprefix([decimal_str(frac_lo).zfill(depth),
-                                    decimal_str(frac_hi).zfill(depth)])
-              if depth else "")
+    digits = ""
+    # zfill(0) would keep the "0" of a zero-depth fraction, which is no digit
+    if depth:
+        lo_digits = decimal_str(frac_lo).zfill(depth)
+        # read as big-endian integers, the two digit strings XOR to a value
+        # whose top set bit lies in the first byte they differ in: the common
+        # prefix found in C, not character by character
+        diff = (int.from_bytes(lo_digits.encode(), "big")
+                ^ int.from_bytes(decimal_str(frac_hi).zfill(depth).encode(), "big"))
+        digits = lo_digits[: depth - (diff.bit_length() + 7) // 8]
     if not digits:
         return DigitCertificate(decimal_str(whole), 0)
     return DigitCertificate(f"{decimal_str(whole)}.{digits}", len(digits))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
+from math import isqrt
 
 from .errors import SIMULATION_CAP, ResourceLimit, SimulationCapExceeded, brief
 from .report import CheckedRecord
@@ -50,6 +51,17 @@ def _validate(n: int, q: int) -> None:
 def _step_limit(widest: int) -> int:
     """Most steps BIT_OP_LIMIT admits on terms up to widest."""
     return BIT_OP_LIMIT // max(WORD_BITS, widest.bit_length())
+
+
+def largest_admitted_n() -> int:
+    """The largest n any survivor route admits, at any q.
+
+    The simulation stops at 2**32. The recurrence and the ceiling iteration
+    admit the widest n at q = 2, where both predict 2 * B steps on B-bit
+    terms and the step limit is BIT_OP_LIMIT // B: so up to
+    B = isqrt(BIT_OP_LIMIT // 2) bits.
+    """
+    return (1 << isqrt(BIT_OP_LIMIT // 2)) - 1
 
 
 def _recurrence_steps(n: int, q: int) -> tuple[int, int]:

@@ -250,17 +250,20 @@ def test_seq_json_terms_match_the_plain_lines(which, last):
 
 
 def test_import_leaves_out_dataclasses_inspect_and_typing():
+    # sys.modules is read before the snippet imports json to print it
     loaded = fresh_interpreter(
-        "import json, sys, divgap, divgap.cli; divgap.cli.build_parser(); "
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in "
-        "('divgap', 'dataclasses', 'inspect', 'typing', 'fractions', 'decimal')]))"
+        "import sys, divgap, divgap.cli; divgap.cli.build_parser(); "
+        "loaded = [m for m in sys.modules if m.split('.')[0] in "
+        "('divgap', 'dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'json')]; "
+        "import json; print(json.dumps(loaded))"
     )
     # the parser shows its defaults from errors.py; no library module loads
     assert sorted(loaded) == ["divgap", "divgap.cli", "divgap.errors"]
 
 
 # the divgap modules besides cli and errors that each subcommand loads in a
-# fresh interpreter, and whether fractions and decimal load with them
+# fresh interpreter, and whether fractions and decimal load with them; json
+# loads with none of them
 RUNS_ONLY = [
     (("josephus", "--n", "10", "--q", "2"), {"josephus", "report"}, False),
     (("delta", "48"), {"divisors", "report"}, False),
@@ -269,10 +272,8 @@ RUNS_ONLY = [
     (("lemma", "2"), {"divisors", "report"}, False),
     (("seq", "a", "--max", "7"), {"divisors", "report", "sequences", "intervals"}, True),
     (("theorem", "--max", "10"), {"divisors", "report", "sequences", "intervals"}, True),
-    (("constants", "k3"),
-     {"divisors", "report", "sequences", "intervals", "constants"}, True),
-    (("verify", "relation"),
-     {"divisors", "report", "sequences", "intervals", "constants"}, True),
+    (("constants", "k3"), {"report", "intervals", "constants"}, True),
+    (("verify", "relation"), {"report", "intervals", "constants"}, True),
     (("reproduce", "--fast-only"),
      {"divisors", "report", "sequences", "intervals", "constants"}, True),
 ]
@@ -284,13 +285,15 @@ def test_each_subcommand_imports_only_what_it_runs(args, modules, numeric):
     # a fresh process, because an in-process run can pass on modules an
     # earlier test already imported where a user's first run would fail
     code, out, err, loaded = fresh_interpreter(
-        "import io, json, sys\n"
+        "import io, sys\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"
         "from divgap import cli\n"
         "out, err = io.StringIO(), io.StringIO()\n"
         "with redirect_stdout(out), redirect_stderr(err):\n"
         "    code = cli.run(sys.argv[1:])\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] in ('divgap', 'fractions', 'decimal')]\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.split('.')[0] in ('divgap', 'fractions', 'decimal', 'json')]\n"
+        "import json\n"
         "print(json.dumps([code, out.getvalue(), err.getvalue(), loaded]))",
         *args,
     )
@@ -523,6 +526,61 @@ def test_survivor_routes_refuse_wide_terms_at_once(algo, json_flag):
         assert dict(top["result"])["error"] == "ResourceLimit"
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_long_n_is_refused_before_it_is_parsed(json_flag):
+    # 300,000 digits: int() alone would take most of a second
+    n = "1" + "0" * 299999
+    start = time.perf_counter()
+    proc = run_cli("josephus", "--n", n, "--q", "2", "--algo", "ow", *json_flag)
+    elapsed = time.perf_counter() - start
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
+    assert elapsed < 0.05
+    assert err == ("error: --n has 300000 digits, above the 1703 of the largest n any "
+                   "survivor route admits; lower --n\n")
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top == {"command": "josephus", "parameters": [],
+                       "result": [("error", "ResourceLimit"), ("message", err[7:-1])],
+                       "status": "error"}
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_long_negative_n_is_a_usage_error(json_flag):
+    n = "-" + "1" * 300000
+    start = time.perf_counter()
+    proc = run_cli("josephus", "--n", n, "--q", "2", *json_flag)
+    assert time.perf_counter() - start < 0.05
+    assert proc.returncode == 2
+    assert "argument --n: must be at least 1" in proc.stderr and n not in proc.stderr
+    assert bool(proc.stdout) == bool(json_flag)
+
+
+def test_the_digit_count_skips_what_int_accepts_around_the_digits():
+    # leading zeros, whitespace, a sign and underscores are no digits
+    for n in ("0" * 5000 + "7", " +0_0" + "0" * 3000 + "7\t"):
+        proc = run_cli("josephus", "--n", n, "--q", "2")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "n=7 q=2 survivor=7 [recurrence]"
+    # as many digits as the largest admitted n: the routes decide, admitting
+    # 10^1702 and refusing 10^1703 - 1
+    proc = run_cli("josephus", "--n", "1" + "0" * 1702, "--q", "2", "--algo", "ow")
+    assert proc.returncode == 0
+    proc = run_cli("josephus", "--n", "9" * 1703, "--q", "2", "--algo", "ow")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: the ceiling iteration would take")
+    # one digit more is refused by its length
+    proc = run_cli("josephus", "--n", "1" + "0" * 1703, "--q", "2", "--algo", "ow")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: --n has 1704 digits")
+    # what is no integer stays argparse's usage error
+    proc = run_cli("josephus", "--n", "12x", "--q", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("argument --n: invalid int value: '12x'\n")
 
 
 @pytest.mark.parametrize("game", [

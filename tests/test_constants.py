@@ -7,7 +7,9 @@ The bisection renderer below searches the certified depth two truncations
 per probe, the reference for the library's one-truncation renderer;
 ow_sequence steps the K3 iteration one term at a time, the reference for
 the library's eight-step jumps; the integer-numerator fold below is the
-reference for the library's fold of two small offsets.
+reference for the library's fold of two small offsets, and the term-fed
+offset fold below, kept as it stood before the fold read parities, is the
+reference for c_enclosure, which builds no term.
 """
 
 import random
@@ -23,10 +25,13 @@ from cli_run import run_cli
 
 import divgap.constants
 from divgap.constants import (
+    _GROWTH_JUMP8,
+    _JUMP8,
     DEFAULT_TERMS,
     K3_SCALE,
     _intersect_growth_constraints,
     _iterate_q3,
+    _jump_table,
     c_enclosure,
     k3_enclosure,
     relation_check,
@@ -197,6 +202,29 @@ def test_render_digits_matches_the_bisection_reference(x, y, cap, point):
     assert render_digits(iv, cap) == bisect_render(iv, cap)
 
 
+@pytest.mark.parametrize("lo, hi, cap, want", [
+    # every place agrees, up to the cap
+    (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40), 30, ("0." + "3" * 30, 30)),
+    (Fraction(123456789, 10**9), Fraction(123456789, 10**9), 9, ("0.123456789", 9)),
+    # the first place differs
+    (Fraction(1, 10), Fraction(29, 100), 5, ("0", 0)),
+    (Fraction(71, 10), Fraction(79, 10), 3, ("7", 0)),
+    # a carry chain: the digit strings differ from their first byte on, or
+    # after a common prefix, however long the chain of nines
+    (Fraction(999999, 10**7), Fraction(1, 10), 7, ("0", 0)),
+    (Fraction(12999999, 10**8), Fraction(13, 100), 8, ("0.1", 1)),
+    (Fraction(10**20 - 1, 10**20), Fraction(1), 25, ("", 0)),
+    # depth 0: the width admits no place at all, with or without a common
+    # integer part
+    (Fraction(0), Fraction(9, 10), 5, ("0", 0)),
+    (Fraction(5, 2), Fraction(7, 2), 5, ("", 0)),
+], ids=["all", "all-exact", "first", "first-whole", "carry", "carry-prefix", "carry-whole",
+        "depth0", "depth0-whole"])
+def test_render_digits_at_the_prefix_edges(lo, hi, cap, want):
+    iv = RationalInterval(lo, hi)
+    assert render_digits(iv, cap) == DigitCertificate(*want) == bisect_render(iv, cap)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=5000))
 @example(1)
@@ -293,6 +321,114 @@ def test_c_enclosure_streams_the_recurrence():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _offset_fold_reference(terms) -> RationalInterval:
+    """Reference: the term-fed offset fold as it stood before the fold read parities.
+
+    Kept verbatim; c_enclosure builds no term and must give its interval.
+    """
+    terms = iter(terms)
+    prev = next(terms)
+    n = 1
+    d = kd = e = ke = 0  # D = d / 2^kd, E = e / 2^ke
+    for n, b in enumerate(terms, start=2):
+        t = 3 * prev - 2 * b
+        prev = b
+        # the offsets before the max, each a numerator over one more power of 2
+        d = 3 * d + ((2 * t - 1) << kd)
+        e = 3 * e - ((2 * t + 1) << ke)
+        if d > 4 << kd or e > 4 << ke:
+            raise EmptyIntersection(
+                f"constraint {n} (term {b}) empties the intersection", index=n
+            )
+        if d > 0:
+            kd += 1
+        else:
+            d = kd = 0
+        if e > 0:
+            ke += 1
+        else:
+            e = ke = 0
+    den = 3**n
+    lo = ((2 * prev - 1) << (n - 1)) + (d << (n - 1 - kd))
+    hi = ((2 * prev + 1) << (n - 1)) - (e << (n - 1 - ke))
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5000))
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(10)
+@example(11)
+@example(5000)
+def test_c_enclosure_matches_the_term_fed_fold(n):
+    assert c_enclosure(n) == _offset_fold_reference(b_terms(n))
+
+
+def test_c_enclosure_matches_the_term_fed_fold_at_a_hundred_thousand():
+    assert c_enclosure(10**5) == _offset_fold_reference(b_terms(10**5))
+
+
+def _f(x: int) -> int:
+    return (3 * x + 1) // 2
+
+
+def _g(u: int) -> int:
+    return 3 * u // 2
+
+
+def _orbit(step, x: int, k: int) -> list[int]:
+    """x, step(x), ..., step^k(x), one step at a time."""
+    out = [x]
+    for _ in range(k):
+        out.append(step(out[-1]))
+    return out
+
+
+# each map with the constant c of floor((3x + c)/2) that selects it
+MAPS = [(_f, 1), (_g, 0)]
+
+
+@pytest.mark.parametrize("step, c", MAPS, ids=["f", "g"])
+def test_jump_table_is_the_stepwise_map(step, c):
+    for low, (value, parities) in enumerate(_jump_table(c)):
+        orbit = _orbit(step, low, 8)
+        assert value == orbit[8]
+        assert parities == tuple(x % 2 for x in orbit[:8])
+
+
+def test_the_kernels_tables_are_the_stepwise_maps():
+    for low in range(256):
+        orbit = _orbit(_f, low, 8)
+        assert _JUMP8[low] == orbit[8]
+        orbit = _orbit(_g, low, 8)
+        for prev in (0, 1, -1):
+            parities = [prev] + [x % 2 for x in orbit[:8]]
+            steps = tuple(q - p for p, q in zip(parities, parities[1:]))
+            assert _GROWTH_JUMP8[prev][low] == (orbit[8], steps, orbit[7] % 2)
+
+
+_TABLES = {step: _jump_table(c) for step, c in MAPS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**300))
+@example(0)
+@example(255)
+@example(256)
+@example(2**300)
+def test_one_jump_is_eight_steps_of_either_map(x):
+    # on a full-size integer: the jump's value, and the parities of the
+    # eight iterates it skips, read from the low byte alone
+    for step, table in _TABLES.items():
+        orbit = _orbit(step, x, 8)
+        value, parities = table[x & 255]
+        assert 3**8 * (x >> 8) + value == orbit[8]
+        assert parities == tuple(y % 2 for y in orbit[:8])
 
 
 def _fraction_intersection(terms: list[int]) -> RationalInterval:

@@ -29,6 +29,7 @@ from divgap.josephus import (
     SurvivorResult,
     _labels,
     _step_limit,
+    largest_admitted_n,
     ow_sequence,
     survivor_recurrence,
     survivor_simulation,
@@ -337,6 +338,21 @@ def test_wide_terms_are_refused_by_their_bit_operations(route):
         start = time.perf_counter()
         assert route(n, q).survivor >= 1
         assert time.perf_counter() - start < 1.0
+
+
+def test_largest_admitted_n_is_the_edge_of_every_route():
+    # the widest n of all sits at q = 2: both bit-budget routes admit it and
+    # refuse the next integer; every larger q and the simulation refuse it
+    n = largest_admitted_n()
+    assert n.bit_length() == 5656 and len(str(n)) == 1703
+    assert survivor_recurrence(n, 2).survivor == survivor_via_ow(n, 2).survivor
+    for route in (survivor_recurrence, survivor_via_ow):
+        with pytest.raises(ResourceLimit):
+            route(n + 1, 2)
+        with pytest.raises(ResourceLimit):
+            route(n, 3)
+    with pytest.raises(SimulationCapExceeded):
+        survivor_simulation(n, 2)
 
 
 def recurrence_iterations(n, q):

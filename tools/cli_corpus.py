@@ -167,6 +167,11 @@ def commands() -> list[list[str]]:
     # 162-bit terms
     argv = ["josephus", "--n", str(10**45), "--q", "3000", "--algo", "ow"]
     out += [argv, argv + ["--json"]]
+    # a 300,000-digit --n, refused by its length before int() reads it, and
+    # its negative, a usage error
+    for n in ("1" + "0" * 299999, "-" + "1" * 300000):
+        argv = ["josephus", "--n", n, "--q", "2", "--algo", "ow"]
+        out += [argv, argv + ["--json"]]
     # both 3*2^k laws one k past their --max-k limit
     for which in ("1", "2"):
         argv = ["lemma", which, "--max-k", "100001"]
