@@ -22,6 +22,7 @@ from .errors import (
     EXIT_FINDING,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_K_LIMIT,
     ORACLE_BOUND,
     SIMULATION_CAP,
     DivgapError,
@@ -96,16 +97,18 @@ def _envelope(args, result, status) -> dict:
 
 def _cmd_seq(args) -> tuple[dict, list[str], bool]:
     from .intervals import LOG10_2_UPPER, decimal_str
-    from .sequences import a_seq, b_seq
+    from .sequences import _a_prefix, _b_prefix
 
     if args.which == "a":
-        rep = a_seq(args.max, args.path, oracle_bound=args.oracle_bound)
+        start, path, stream = 0, args.path, _a_prefix(args.max, args.path, args.oracle_bound)
     else:
-        rep = b_seq(args.max)
-    # refuse terms beyond the print budget before materializing anything;
+        start, path, stream = 1, "recurrence", _b_prefix(args.max)
+    # refuse the first term beyond the print budget as the records arrive,
+    # before any term past it is computed or any term is rendered;
     # machine-scale terms always print, whatever the budget
     bit_budget = floor(args.digit_limit / LOG10_2_UPPER)
-    for n, (odd, e) in enumerate(rep.records, start=rep.start_index):
+    records = []
+    for n, (odd, e) in enumerate(stream, start=start):
         bits = odd.bit_length() + e
         if bits > 64 and bits > bit_budget:
             raise ResourceLimit(
@@ -113,14 +116,10 @@ def _cmd_seq(args) -> tuple[dict, list[str], bool]:
                 f"digits, above the print limit {args.digit_limit}; "
                 "raise it with --digit-limit"
             )
-    digits = [decimal_str(t) for t in rep]
-    lines = [f"{i} {d}" for i, d in enumerate(digits, start=rep.start_index)]
-    result = {
-        "name": rep.name,
-        "start_index": rep.start_index,
-        "path": rep.path,
-        "terms": digits,
-    }
+        records.append((odd, e))
+    digits = [decimal_str(odd << e) for odd, e in records]
+    lines = [f"{i} {d}" for i, d in enumerate(digits, start=start)]
+    result = {"name": args.which, "start_index": start, "path": path, "terms": digits}
     return result, lines, True
 
 
@@ -450,40 +449,43 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@functools.cache
-def _survivor_n_digits() -> int:
-    """Decimal digits of the largest n any survivor route admits."""
+def _digit_limited(flag: str, largest, admits: str):
+    """The argparse type of an integer flag, refused by its digit count before int() reads it.
+
+    int() is quadratic in the digits: a 300,000-digit value takes 0.7 s to
+    parse before any route refuses it. A value with more digits than
+    largest(), the largest value the flag's route admits, is refused with
+    exit 3, and a negative one that long is a usage error; the routes decide
+    the rest. The count drops what int() accepts around the digits
+    (whitespace, one sign, underscores) and leading zeros.
+    """
+    limit = functools.cache(lambda: len(str(largest())))
+
+    def parse(text: str) -> int:
+        body = text.strip()
+        negative = body[:1] == "-"
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        digits = len(body.replace("_", "").lstrip("0"))
+        if digits > limit():
+            if negative:
+                raise argparse.ArgumentTypeError(
+                    f"must be at least 1, got a negative value of {digits} digits")
+            raise ResourceLimit(
+                f"{flag} has {digits} digits, above the {limit()} of {admits}; lower {flag}")
+        try:
+            return int(text)
+        except ValueError:
+            # argparse's own message for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+    return parse
+
+
+def _largest_survivor_n() -> int:
     from .josephus import largest_admitted_n
 
-    return len(str(largest_admitted_n()))
-
-
-def _survivor_n(text: str) -> int:
-    """josephus --n as int(text), refused by its digit count before int() reads it.
-
-    int() is quadratic in the digits: a 300,000-digit n takes 0.7 s to parse
-    before any route refuses it. The count drops what int() accepts around
-    the digits (whitespace, one sign, underscores) and leading zeros.
-    """
-    body = text.strip()
-    negative = body[:1] == "-"
-    if body[:1] in ("+", "-"):
-        body = body[1:]
-    digits = len(body.replace("_", "").lstrip("0"))
-    limit = _survivor_n_digits()
-    if digits > limit:
-        if negative:
-            raise argparse.ArgumentTypeError(
-                f"must be at least 1, got a negative value of {digits} digits")
-        raise ResourceLimit(
-            f"--n has {digits} digits, above the {limit} of the largest n any survivor "
-            "route admits; lower --n"
-        )
-    try:
-        return int(text)
-    except ValueError:
-        # argparse's own message for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return largest_admitted_n()
 
 
 @functools.cache
@@ -534,11 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma", parents=[common], help="check a 3*2^k divisor law")
     p.add_argument("which", choices=["1", "2"],
                    help="1: divisor count; 2: middle-pair gap")
-    p.add_argument("--max-k", type=int, default=30)
+    p.add_argument("--max-k", default=30, type=_digit_limited(
+        "--max-k", lambda: MAX_K_LIMIT, "the largest k either 3*2^k law checks"))
     p.set_defaults(handler=_cmd_lemma)
 
     p = sub.add_parser("josephus", parents=[common], help="circle-game survivor")
-    p.add_argument("--n", type=_survivor_n, required=True)
+    p.add_argument("--n", required=True, type=_digit_limited(
+        "--n", _largest_survivor_n, "the largest n any survivor route admits"))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--algo", choices=["recurrence", "simulation", "ow", "all"], default="all")
     p.add_argument("--sim-cap", type=_positive_int, default=SIMULATION_CAP)
@@ -606,8 +610,10 @@ def run(argv=None) -> int:
     except UsageError as exc:
         return _parse_failure(exc, exc.command, exc.report, argv)
     except ResourceLimit as exc:
-        # only josephus --n is refused while parsing (_survivor_n)
-        return _parse_failure(exc, "josephus", f"error: {exc}\n", argv)
+        # an integer flag refused by its length (_digit_limited); the first
+        # argument that is not an option is the subcommand that defines it
+        command = next((a for a in argv if not a.startswith("-")), None)
+        return _parse_failure(exc, command, f"error: {exc}\n", argv)
     except SystemExit:
         return EXIT_OK  # --help, printed in full
     if getattr(args, "bfile", False) and args.command != "seq":

@@ -308,8 +308,9 @@ def _le_scaled(s: int, k: int, t: int, p: int) -> bool:
 def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tuple[int, int]]]:
     """Split a factorization into p**E times a coprime part T.
 
-    Returns (p, E, chains) where p carries the largest exponent and chains
-    lists (s, T // s) over every divisor s of T. The chain count equals the
+    Returns (p, E, chains) where p carries the largest exponent (the larger
+    prime on a tie, as pairs come sorted by prime) and chains lists
+    (s, T // s) over every divisor s of T. The chain count equals the
     divisor count of T, so it is capped at DIVISOR_CAP like any other
     materialization.
     """
@@ -343,16 +344,17 @@ def _boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
     return max(-1, min(e_big, (e_big + k) // 2))
 
 
-def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, int, int, int, int]:
-    """The minimal pair of f with difference above threshold, kept in pieces.
+def _walk(split: tuple[int, int, list[tuple[int, int]]],
+          threshold: int | None) -> tuple[int, int, int, int, int, int]:
+    """The minimal pair of p**E * T with difference above threshold, kept in pieces.
 
-    Returns (p, E, s, a, c, inner) for the pair s * p**a <= c * p**(E - a),
-    whose difference is p**min(a, E - a) * inner. Only inner is built: it is
-    c * p**(E - 2a) - s or c - s * p**(2a - E), and E - 2a stays near log_p T
-    close to the square root, so inner stays small however large E is.
+    split is _chain_split's (p, E, chains). Returns (p, E, s, a, c, inner)
+    for the pair s * p**a <= c * p**(E - a), whose difference is
+    p**min(a, E - a) * inner. Only inner is built: it is c * p**(E - 2a) - s
+    or c - s * p**(2a - E), and E - 2a stays near log_p T close to the
+    square root, so inner stays small however large E is.
     """
-    # the empty factorization walks as 2**0 with the single chain (1, 1)
-    p, e_big, chains = _chain_split(f.pairs or ((2, 0),))
+    p, e_big, chains = split
     # The gap strictly grows as the small side shrinks, so the qualifying
     # divisors are exactly those up to one bound. Each chain steps down from
     # its square-root boundary to its largest qualifying divisor, and the
@@ -384,6 +386,50 @@ def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, in
             f"no divisor pair of the factored input has difference above {threshold}"
         )
     return (p, e_big, *best)
+
+
+def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, int, int, int, int]:
+    """_walk over a fresh split of f."""
+    # the empty factorization walks as 2**0 with the single chain (1, 1)
+    return _walk(_chain_split(f.pairs or ((2, 0),)), threshold)
+
+
+def _gap_exponents(step: tuple[int, int, int, int, int, int], primes,
+                   oracle_bound: int) -> dict[int, int]:
+    """The prime -> exponent mapping of a walk step's gap p**min(a, E - a) * inner.
+
+    primes are the walked product's own primes, already proven, so they are
+    divided out of inner directly; only a cofactor coprime to all of them is
+    left to factorize, which raises OracleBoundExceeded above oracle_bound.
+    """
+    p, e_big, _, a, _, inner = step
+    found = {}
+    for q in primes:
+        if inner % q == 0:
+            inner, found[q] = _divide_out(inner, q)
+    if inner > 1:
+        found.update(factorize(inner, oracle_bound=oracle_bound).pairs)
+    shared = min(a, e_big - a)
+    if shared:
+        found[p] = found.get(p, 0) + shared
+    return found
+
+
+def _grow(product: dict[int, int], split: tuple[int, int, list[tuple[int, int]]],
+          gap: dict[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
+    """Multiply product by gap in place and return the split of the result.
+
+    When gap raises only the exponent of the split's p, p keeps the largest
+    exponent and the part coprime to it is unchanged, so the chains, which
+    are exactly that part's divisor pairs, carry over with the new E;
+    otherwise the product is split afresh.
+    """
+    for q, e in gap.items():
+        product[q] = product.get(q, 0) + e
+    p, _, chains = split
+    if gap.keys() <= {p}:
+        return p, product[p], chains
+    return _chain_split(tuple(sorted(product.items())))
 
 
 # --- public gap interface ---
@@ -443,19 +489,8 @@ def gap_factorization(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    p, e_big, _, a, _, inner = _min_gap_step(f, threshold)
-    # f's primes are proven, so they are divided out of inner directly, and
-    # only a cofactor coprime to all of them is left to trial division
-    found = {}
-    for q, _ in f.pairs:
-        if inner % q == 0:
-            inner, found[q] = _divide_out(inner, q)
-    if inner > 1:
-        found.update(factorize(inner, oracle_bound=oracle_bound).pairs)
-    shared = min(a, e_big - a)
-    if shared:
-        found[p] = found.get(p, 0) + shared
-    return Factorization._proven(found)
+    step = _min_gap_step(f, threshold)
+    return Factorization._proven(_gap_exponents(step, (q for q, _ in f.pairs), oracle_bound))
 
 
 # --- verification suites for the 3*2^k laws ---
@@ -508,15 +543,20 @@ def check_middle_pair_law(max_k: int) -> VerificationReport:
     """
     _check_max_k(max_k)
     records = []
+    # 3 * 2**k, grown by one factor of 2 per k: the split is made at k = 1,
+    # where 3 carries the largest exponent, and again at k = 2, then kept
+    product = {2: 1, 3: 1}
+    split = _chain_split(((2, 1), (3, 1)))
     for k in range(1, max_k + 1):
         # 3 * 2**k is never a square, so its minimal gap is above 0
-        exponents = dict(gap_factorization(Factorization._proven({2: k, 3: 1}), 0).pairs)
+        exponents = _gap_exponents(_walk(split, 0), product, ORACLE_BOUND)
         actual = exponents.get(2, 0) if exponents.keys() <= {2} else None
         expected = (k + 1) // 2 - 1
         ok = actual == expected
         if ok and k <= BRUTE_UP_TO:
             ok = delta(3 << k) == 1 << expected
         records.append(CheckRecord(k, ok, expected, actual))
+        split = _grow(product, split, {2: 1})
     notes = (
         "the gap exponent for 3*2^k is ceil(k/2) - 1, not the published ceil(k/2); "
         "enumeration gives gap 2 = 2^1 at k = 4 where the published form says 4",

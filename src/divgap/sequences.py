@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil
 
-from .divisors import Factorization, delta_above, gap_factorization
+from .divisors import _chain_split, _gap_exponents, _grow, _walk, delta_above
 from .errors import A_PATHS, ORACLE_BOUND, InsufficientPrecision
 from .intervals import RationalInterval
 from .report import CheckRecord, VerificationReport
@@ -72,11 +72,16 @@ def b_terms(n_max: int) -> Iterator[int]:
         u += t
 
 
-def b_seq(n_max: int) -> SequenceReport:
-    """Indices 1..n_max of the half-sum ceiling recurrence."""
+def _b_prefix(n_max: int) -> Iterator[tuple[int, int]]:
+    """The (odd, e) records of b(1), ..., b(n_max), made as they are pulled."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return SequenceReport("b", 1, "recurrence", tuple(map(_odd_record, b_terms(n_max))))
+    return map(_odd_record, b_terms(n_max))
+
+
+def b_seq(n_max: int) -> SequenceReport:
+    """Indices 1..n_max of the half-sum ceiling recurrence."""
+    return SequenceReport("b", 1, "recurrence", tuple(_b_prefix(n_max)))
 
 
 def a_records(path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
@@ -87,8 +92,10 @@ def a_records(path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
     a prime -> exponent mapping extended in place, each gap by the
     descending divisor walk in exponent space; the gap comes out factored,
     so no integer of the terms' size is built and its power of two stays an
-    exponent. The stream has no end; a gap is computed only when its record
-    is pulled.
+    exponent. The walk's split of the product into p**E and the chains of
+    the part coprime to p is carried from step to step and rebuilt only
+    when a gap brings in a prime other than p. The stream has no end; a gap
+    is computed only when its record is pulled.
     """
     if path not in A_PATHS:
         raise ValueError(f"unknown path {path!r}, expected one of {A_PATHS}")
@@ -101,23 +108,27 @@ def a_records(path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
             product *= a
     else:
         product = {2: 2}
+        split = _chain_split(((2, 2),))
         while True:
-            gap = gap_factorization(Factorization._proven(product), 1, oracle_bound=oracle_bound)
-            odd, two = 1, 0
-            for p, e in gap.pairs:
-                product[p] = product.get(p, 0) + e
-                if p == 2:
-                    two = e
-                else:
+            gap = _gap_exponents(_walk(split, 1), product, oracle_bound)
+            odd = 1
+            for p, e in gap.items():
+                if p != 2:
                     odd *= p**e
-            yield odd, two
+            yield odd, gap.get(2, 0)
+            split = _grow(product, split, gap)
+
+
+def _a_prefix(n_max: int, path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
+    """The records of a(0), ..., a(n_max) from a_records, walked as they are pulled."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    return islice(a_records(path, oracle_bound), n_max + 1)
 
 
 def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> SequenceReport:
     """Indices 0..n_max of the gap sequence via the chosen path (see a_records)."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return SequenceReport("a", 0, path, tuple(islice(a_records(path, oracle_bound), n_max + 1)))
+    return SequenceReport("a", 0, path, tuple(_a_prefix(n_max, path, oracle_bound)))
 
 
 def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> VerificationReport:
@@ -125,23 +136,28 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
 
     Each gap term is recomputed from the divisor definition by a_records on
     the chosen path, which must be one of A_PATHS; nothing is assumed from
-    the identity being checked. On the factored path, the gaps whose partial
-    product is below CROSS_CHECK_BOUND are also recomputed by trial division
-    on the integer product, and a disagreement fails the record. Failures are
-    recorded, not raised; records hold the exponents being compared (actual
-    is None for a term that is not a power of two at all).
+    the identity being checked. Every gap is also held to lemma 2: while the
+    identity holds the product of the earlier terms is 3 * 2**E, whose
+    minimal gap is 2**(ceil(E/2) - 1), with E summed from the records' own
+    exponents of two. On the factored path, the gaps whose partial product
+    is below CROSS_CHECK_BOUND are also recomputed by trial division on the
+    integer product. A disagreement with any route fails the record.
+    Failures are recorded, not raised; records hold the exponents compared
+    with b(n) (actual is None for a term that is not a power of two at all).
     """
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
     records = []
     product = 48  # terms 0..2: 4 * 3 * 4
+    e_big = 4  # the exponent of 2 in that product
     # b(1) and b(2) have no gap term to match; the range comes first, so the
     # zip stops before it pulls a gap past n_max from the endless stream
     pairs = zip(range(3, n_max + 1), islice(a_records(check_path, oracle_bound), 3, None),
                 islice(b_terms(n_max), 2, None))
     for n, (odd, e), b in pairs:
         actual = e if odd == 1 else None
-        ok = actual == b
+        ok = actual == b and e == (e_big + 1) // 2 - 1
+        e_big += e
         if check_path == "factored" and product < CROSS_CHECK_BOUND:
             a = odd << e
             ok = ok and delta_above(product, 1, oracle_bound=CROSS_CHECK_BOUND).difference == a

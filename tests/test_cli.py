@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -157,11 +158,11 @@ def test_lemma_2_carries_the_note():
     (((2, 2), (3, 1)), "2^?", None),  # not a power of two
 ])
 def test_lemma_2_failure_prints_exponents(monkeypatch, gap, got, actual):
+    # the walk's step on 3 * 2**5 splits the product as p = 2, E = 5
     divisors = divgap.divisors
-    real = divisors.gap_factorization
-    at = divisors.Factorization(((2, 5), (3, 1)))
-    monkeypatch.setattr(divisors, "gap_factorization",
-                        lambda f, t: divisors.Factorization(gap) if f == at else real(f, t))
+    real = divisors._gap_exponents
+    monkeypatch.setattr(divisors, "_gap_exponents",
+                        lambda step, *args: dict(gap) if step[:2] == (2, 5) else real(step, *args))
     proc = run_cli("lemma", "2", "--max-k", "40")
     assert proc.returncode == 4
     assert proc.stdout.splitlines()[0] == f"k=5 expected=2^2 got={got} MISMATCH"
@@ -621,6 +622,65 @@ def test_lemma_refuses_a_huge_max_k_at_once(which, json_flag):
         assert dict(top["result"])["error"] == "ResourceLimit"
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_long_max_k_is_refused_before_it_is_parsed(which, json_flag):
+    # 300,000 digits: int() alone would take most of a second
+    k = "1" + "0" * 299999
+    start = time.perf_counter()
+    proc = run_cli("lemma", which, "--max-k", k, *json_flag)
+    elapsed = time.perf_counter() - start
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == 3
+    assert elapsed < 0.05
+    assert err == ("error: --max-k has 300000 digits, above the 6 of the largest k either "
+                   "3*2^k law checks; lower --max-k\n")
+    if json_flag:
+        top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
+        assert top == {"command": "lemma", "parameters": [],
+                       "result": [("error", "ResourceLimit"), ("message", err[7:-1])],
+                       "status": "error"}
+    else:
+        assert out == ""
+
+
+def test_max_k_keeps_its_range_errors_up_to_the_limit_digits():
+    # as many digits as MAX_K_LIMIT: the law refuses, as before the count
+    proc = run_cli("lemma", "1", "--max-k", "100001")
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: max_k=100001 is above the limit 100000 "
+                           "(one record is kept per k); lower --max-k\n")
+    proc = run_cli("lemma", "2", "--max-k", "-5")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: max_k must be at least 1, got -5\n"
+    # a negative one past the count is a usage error, and so is no integer
+    proc = run_cli("lemma", "2", "--max-k", "-" + "9" * 5000)
+    assert proc.returncode == 2
+    assert "argument --max-k: must be at least 1, got a negative value of 5000 digits" \
+        in proc.stderr
+    proc = run_cli("lemma", "1", "--max-k", "3.5")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("argument --max-k: invalid int value: '3.5'\n")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_seq_refuses_the_first_term_over_the_print_budget_as_it_streams(json_flag):
+    # records are checked as the walk yields them: a billion terms stop at
+    # term 40, as forty do, without walking a term past it
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        proc = run_cli("seq", "a", "--max", "1000000000", *json_flag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 2**20
+    assert proc.returncode == 3
+    assert proc.stderr == run_cli("seq", "a", "--max", "40", *json_flag).stderr
+    assert proc.stderr.startswith("error: term 40 needs about 1199972 decimal digits")
 
 
 @pytest.mark.parametrize("command", ["delta", "divisors"])

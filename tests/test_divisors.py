@@ -13,6 +13,8 @@ down one exponent at a time: both are references for the walk that jumps to
 the qualifying step. The former gap_factorization, which factored inner
 with f's primes as hints and multiplied in p**shared, is the reference for
 the one that builds the gap's factorization in one mapping. The former
+check_middle_pair_law, which built a fresh Factorization and split per k,
+is the reference for the one that carries its split from k to k. The former
 integer log, a binary search that built p**mid at every probe, is the
 reference for the one that starts from a float quotient of logs.
 """
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 
 from divgap import divisors
 from divgap.divisors import (
+    BRUTE_UP_TO,
     DIVISOR_CAP,
     MAX_K_LIMIT,
     ORACLE_BOUND,
@@ -38,12 +41,15 @@ from divgap.divisors import (
     Factorization,
     _boundary_exponent,
     _chain_split,
+    _check_max_k,
+    _grow,
     _ilog,
     _is_prime,
     _le_scaled,
     _min_gap_step,
     _oracle_min_pair,
     _pow,
+    _walk,
     check_divisor_count_law,
     check_middle_pair_law,
     delta,
@@ -62,7 +68,7 @@ from divgap.errors import (
     ResourceLimit,
     brief,
 )
-from divgap.report import CheckRecord
+from divgap.report import CheckRecord, VerificationReport
 from divgap.sequences import b_seq
 
 
@@ -293,6 +299,35 @@ def hinted_gap_factorization(
     rest = factorize(inner, oracle_bound=oracle_bound, hints=tuple(q for q, _ in f.pairs))
     shared = min(a, e_big - a)
     return rest.multiply(Factorization(((p, shared),))) if shared else rest
+
+
+def fresh_split_middle_pair_law(max_k: int) -> VerificationReport:
+    """Adjudicate the minimal-gap law for 3 * 2**k.
+
+    For every k the descending walk finds the minimal gap of 3 * 2**k in
+    exponent space, and it must be 2^(ceil(k/2) - 1); for k up to BRUTE_UP_TO
+    the trial-division oracle recomputes it on the integer as well. Records
+    hold the exponents compared (actual is None for a gap that is not a
+    power of two at all). The widely quoted exponent ceil(k/2) fails already
+    at k = 4, where enumeration gives gap 2, so the report carries that as a
+    note rather than a failure.
+    """
+    _check_max_k(max_k)
+    records = []
+    for k in range(1, max_k + 1):
+        # 3 * 2**k is never a square, so its minimal gap is above 0
+        exponents = dict(gap_factorization(Factorization._proven({2: k, 3: 1}), 0).pairs)
+        actual = exponents.get(2, 0) if exponents.keys() <= {2} else None
+        expected = (k + 1) // 2 - 1
+        ok = actual == expected
+        if ok and k <= BRUTE_UP_TO:
+            ok = delta(3 << k) == 1 << expected
+        records.append(CheckRecord(k, ok, expected, actual))
+    notes = (
+        "the gap exponent for 3*2^k is ceil(k/2) - 1, not the published ceil(k/2); "
+        "enumeration gives gap 2 = 2^1 at k = 4 where the published form says 4",
+    )
+    return VerificationReport("middle-pair gap law for 3*2^k", tuple(records), notes)
 
 
 def outcome(fn, *args, **kwargs):
@@ -982,13 +1017,16 @@ def skew_at(monkeypatch, name, at, replacement):
 
 
 @pytest.mark.parametrize("gap, actual", [
-    (Factorization(((2, 20),)), 20),  # off by one exponent
-    (Factorization(((2, 19), (3, 1))), None),  # not a power of two
+    ({2: 20}, 20),  # off by one exponent
+    ({2: 19, 3: 1}, None),  # not a power of two
 ])
 def test_middle_pair_law_fails_a_skewed_walk_past_the_brute_force_range(
         monkeypatch, gap, actual):
-    # k = 40 lies past BRUTE_UP_TO, so only the walk answers there
-    skew_at(monkeypatch, "gap_factorization", Factorization(((2, 40), (3, 1))), gap)
+    # k = 40 lies past BRUTE_UP_TO, so only the walk answers there; its step
+    # on 3 * 2**40 splits the product as p = 2, E = 40
+    real = divisors._gap_exponents
+    monkeypatch.setattr(divisors, "_gap_exponents",
+                        lambda step, *args: gap if step[:2] == (2, 40) else real(step, *args))
     rep = check_middle_pair_law(50)
     assert rep.failures == (CheckRecord(40, False, 19, actual),)
 
@@ -998,6 +1036,55 @@ def test_middle_pair_law_fails_a_skewed_oracle_in_the_brute_force_range(monkeypa
     skew_at(monkeypatch, "delta", 3 << 10, 2**5)
     rep = check_middle_pair_law(50)
     assert rep.failures == (CheckRecord(10, False, 4, 4),)
+
+
+def test_middle_pair_law_matches_the_fresh_split_per_k():
+    assert check_middle_pair_law(10**4) == fresh_split_middle_pair_law(10**4)
+
+
+# products grown one factor at a time: the factor raises the split's p, a
+# prime of the coprime part (which may overtake p), or a new prime
+GROWTH_MOVES = st.lists(
+    st.tuples(st.sampled_from(("p", "rest", "new")), st.integers(1, 3)),
+    min_size=1, max_size=6)
+
+
+def grow_and_compare(moves, threshold: int) -> None:
+    """Carry a split through _grow; hold it to a fresh split, and its walk to the stepping walk."""
+    product = {2: 3, 3: 1}
+    split = _chain_split(((2, 3), (3, 1)))
+    new_primes = [7, 5]
+    for kind, e in moves:
+        p = split[0]
+        if kind == "new" and new_primes:
+            q = new_primes.pop()
+        elif kind == "rest":
+            q = min(r for r in product if r != p)
+        else:
+            q = p
+        split = _grow(product, split, {q: e})
+        f = Factorization._proven(product)
+        assert split == _chain_split(f.pairs), (moves, product)
+        assert outcome(_walk, split, threshold) == outcome(stepping_min_gap_step, f, threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GROWTH_MOVES, st.integers(0, 60))
+def test_a_carried_split_walks_as_a_fresh_one(moves, threshold):
+    grow_and_compare(moves, threshold)
+
+
+def test_a_carried_split_walks_as_a_fresh_one_pinned():
+    # p changes from 2 to 3 (a tie goes to the later prime of the sorted
+    # pairs), the coprime part gains 5, and p's own growth keeps the chains
+    grow_and_compare([("p", 1), ("rest", 3), ("p", 2)], 1)
+    grow_and_compare([("rest", 2), ("rest", 1), ("new", 3), ("p", 3), ("new", 1)], 0)
+    grow_and_compare([("new", 3), ("new", 3), ("rest", 3), ("rest", 3)], 17)
+    # _grow keeps the very chain list when only p grows
+    product = {2: 3, 3: 1}
+    split = _chain_split(((2, 3), (3, 1)))
+    assert _grow(product, split, {2: 5})[2] is split[2]
+    assert product == {2: 8, 3: 1}
 
 
 def test_middle_pair_law_stays_in_exponent_space():

@@ -5,10 +5,15 @@ this package existed; both computation paths must reproduce them, and the
 factored path's power-of-two terms must match the ceiling recurrence. The
 factored path's former loop, which extended the product with a fresh
 Factorization.multiply per term, is kept verbatim below as the reference
-for the one that extends a prime -> exponent mapping in place.
+for the one that extends a prime -> exponent mapping in place; so is the
+loop after it, which built a Factorization and split it afresh per term
+through gap_factorization, as the reference for the stream that carries
+its split from term to term.
 """
 
+import time
 import tracemalloc
+from itertools import islice
 from math import prod
 
 import pytest
@@ -24,6 +29,7 @@ from divgap.intervals import RationalInterval
 from divgap.sequences import (
     A_PATHS,
     SequenceReport,
+    a_records,
     a_seq,
     b_closed_form,
     b_seq,
@@ -45,6 +51,22 @@ def multiplied_a_seq_factored(n_max: int, oracle_bound: int = ORACLE_BOUND) -> S
         records.append((prod(p**e for p, e in gap.pairs if p != 2), dict(gap.pairs).get(2, 0)))
         product = product.multiply(gap)
     return SequenceReport("a", 0, "factored", tuple(records))
+
+
+def fresh_split_a_records(oracle_bound: int):
+    """a_records' factored path as it was: a fresh split per term."""
+    yield 1, 2  # a(0) = 4
+    product = {2: 2}
+    while True:
+        gap = gap_factorization(Factorization._proven(product), 1, oracle_bound=oracle_bound)
+        odd, two = 1, 0
+        for p, e in gap.pairs:
+            product[p] = product.get(p, 0) + e
+            if p == 2:
+                two = e
+            else:
+                odd *= p**e
+        yield odd, two
 
 
 def naive_b(count):
@@ -155,6 +177,11 @@ def test_in_place_product_matches_the_multiplied_product():
     assert a_seq(1600).records == want
 
 
+def test_carried_split_matches_the_fresh_split_per_term():
+    want = list(islice(fresh_split_a_records(ORACLE_BOUND), 2001))
+    assert list(islice(a_records("factored", ORACLE_BOUND), 2001)) == want
+
+
 # --- growth and structure ---
 
 
@@ -260,17 +287,22 @@ def test_verify_theorem_factored_range():
 
 
 def test_a_gap_off_the_identity_is_recorded_not_assumed(monkeypatch):
-    # skew the gap at index 5 (product 384 = 2^7 * 3) to 3 * 8 and check that
-    # the factored path materializes it and the theorem check flags it
-    real = sequences.gap_factorization
-    skew = Factorization(((3, 1),))
+    # skew the gap at index 5 (product 384 = 2^7 * 3, walked as p = 2,
+    # E = 7) to 3 * 8 and check that the factored path materializes it, the
+    # theorem check flags it, and the stream splits the product afresh
+    # after a gap that brings in a prime other than p
+    real = sequences._gap_exponents
 
-    def skewed(f, threshold, **kwargs):
-        gap = real(f, threshold, **kwargs)
-        return gap.multiply(skew) if f.pairs == ((2, 7), (3, 1)) else gap
+    def skewed(step, primes, oracle_bound):
+        gap = real(step, primes, oracle_bound)
+        return {**gap, 3: gap.get(3, 0) + 1} if step[:2] == (2, 7) else gap
 
-    monkeypatch.setattr(sequences, "gap_factorization", skewed)
+    monkeypatch.setattr(sequences, "_gap_exponents", skewed)
     assert a_seq(5, "factored").terms[5] == 24
+    # the next product, 2^10 * 3^2, has the gap 56 = 7 * 8
+    gap = dict(gap_factorization(Factorization(((2, 10), (3, 2))), 1).pairs)
+    assert gap == {2: 3, 7: 1}
+    assert a_seq(6, "factored").records[6] == (7, 3)
     rep = verify_theorem(5)
     assert rep.records[2].index == 5 and rep.records[2].actual is None
     assert not rep.all_passed
@@ -315,19 +347,42 @@ def test_factored_theorem_cross_check_keeps_its_own_bound(monkeypatch):
 @pytest.mark.parametrize("n", [5, 40])
 def test_gap_stream_walks_only_the_terms_it_reads(monkeypatch, n):
     # a(1)..a(n) take one walk each; a pull past n_max would walk once more
-    real = sequences.gap_factorization
+    real = sequences._walk
     walked = []
 
-    def counted(f, threshold, **kwargs):
-        walked.append(f)
-        return real(f, threshold, **kwargs)
+    def counted(split, threshold):
+        walked.append(split)
+        return real(split, threshold)
 
-    monkeypatch.setattr(sequences, "gap_factorization", counted)
+    monkeypatch.setattr(sequences, "_walk", counted)
     assert len(a_seq(n).records) == n + 1
     assert len(walked) == n
     walked.clear()
     assert len(verify_theorem(n).records) == n - 2
     assert len(walked) == n
+
+
+def test_verify_theorem_holds_each_gap_to_lemma_2(monkeypatch):
+    # a(10) and b(10) skewed alike, to 2^(b(10) + 1): the recurrence agrees
+    # with the walk, and only lemma 2 on the product 3 * 2^E before it,
+    # whose minimal gap is 2^(ceil(E/2) - 1), tells the record is wrong
+    real_records, real_b = sequences.a_records, sequences.b_terms
+    b10 = b_seq(10).terms[9]
+
+    def skewed_records(path, oracle_bound):
+        for n, (odd, e) in enumerate(real_records(path, oracle_bound)):
+            yield odd, e + (n == 10)
+
+    def skewed_b(n_max):
+        for n, b in enumerate(real_b(n_max), start=1):
+            yield b + (n == 10)
+
+    monkeypatch.setattr(sequences, "a_records", skewed_records)
+    monkeypatch.setattr(sequences, "b_terms", skewed_b)
+    rep = verify_theorem(12)
+    first = rep.failures[0]
+    assert first.index == 10 and first.actual == first.expected == b10 + 1
+    assert all(r.passed for r in rep.records[:7])
 
 
 def test_verify_theorem_stays_small_in_memory():

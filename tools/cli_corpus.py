@@ -176,6 +176,9 @@ def commands() -> list[list[str]]:
     for which in ("1", "2"):
         argv = ["lemma", which, "--max-k", "100001"]
         out += [argv, argv + ["--json"]]
+    # a 300,000-digit --max-k, refused by its length before int() reads it
+    argv = ["lemma", "1", "--max-k", "1" + "0" * 299999]
+    out += [argv, argv + ["--json"]]
     return out
 
 
