@@ -17,17 +17,19 @@ from math import floor
 # every default the parser shows; each handler imports the modules it runs
 from .errors import (
     A_PATHS,
+    ARGUMENT_DIGITS,
     DEFAULT_TERMS,
     DIVISOR_CAP,
     EXIT_FINDING,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_K_LIMIT,
     ORACLE_BOUND,
     SIMULATION_CAP,
     DivgapError,
     InsufficientPrecision,
     ResourceLimit,
+    brief,
+    outcome,
 )
 
 C_REFERENCE_26 = "0.36050455619661495910154466"
@@ -266,7 +268,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], bool]:
     if rel.overlap and rel.agreeing_places < args.min_places:
         raise InsufficientPrecision(
             f"intervals overlap but agree to only {rel.agreeing_places} places, "
-            f"below the required {args.min_places}; raise --terms"
+            f"below the required {brief(args.min_places)}; raise --terms"
         )
     passed = rel.overlap
     lines = [
@@ -439,53 +441,44 @@ def _json_requested(argv: list[str]) -> bool:
     return any(len(a) > 2 and "--json".startswith(a) for a in argv)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _integer(flag: str, least: int | None = None):
+    """The argparse type of every integer argument; least, if given, is 1.
 
-
-def _digit_limited(flag: str, largest, admits: str):
-    """The argparse type of an integer flag, refused by its digit count before int() reads it.
-
-    int() is quadratic in the digits: a 300,000-digit value takes 0.7 s to
-    parse before any route refuses it. A value with more digits than
-    largest(), the largest value the flag's route admits, is refused with
-    exit 3, and a negative one that long is a usage error; the routes decide
-    the rest. The count drops what int() accepts around the digits
-    (whitespace, one sign, underscores) and leading zeros.
+    int() is quadratic in the digits: a 300,000-digit value takes most of a
+    second to parse before any route refuses it. Text of at most
+    ARGUMENT_DIGITS characters goes straight to int(); in longer text the
+    digits are counted, leaving out what int() accepts around them
+    (whitespace, one sign, underscores) and leading zeros. More than
+    ARGUMENT_DIGITS of them are refused with exit 3, or as a usage error when
+    the value is negative, which no route admits. Every value that parses
+    goes to its route, which refuses what it cannot answer.
     """
-    limit = functools.cache(lambda: len(str(largest())))
 
     def parse(text: str) -> int:
-        body = text.strip()
-        negative = body[:1] == "-"
-        if body[:1] in ("+", "-"):
-            body = body[1:]
-        digits = len(body.replace("_", "").lstrip("0"))
-        if digits > limit():
-            if negative:
-                raise argparse.ArgumentTypeError(
-                    f"must be at least 1, got a negative value of {digits} digits")
-            raise ResourceLimit(
-                f"{flag} has {digits} digits, above the {limit()} of {admits}; lower {flag}")
+        if len(text) > ARGUMENT_DIGITS:
+            body = text.strip()
+            negative = body[:1] == "-"
+            if body[:1] in ("+", "-"):
+                body = body[1:]
+            digits = len(body.replace("_", "").lstrip("0"))
+            if digits > ARGUMENT_DIGITS:
+                if negative:
+                    raise argparse.ArgumentTypeError(
+                        f"must not be negative, got a negative value of {digits} digits")
+                raise ResourceLimit(f"{flag} has {digits} digits, above the {ARGUMENT_DIGITS} "
+                                    f"an integer argument may have; lower {flag}")
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
-            # argparse's own message for type=int
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            # argparse's own message for type=int, or for a positive count or cap
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}" if least is None
+                else f"expected a positive integer, got {text!r}") from None
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {brief(value)}")
+        return value
 
     return parse
-
-
-def _largest_survivor_n() -> int:
-    from .josephus import largest_admitted_n
-
-    return largest_admitted_n()
 
 
 @functools.cache
@@ -505,100 +498,100 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", parents=[common], help="list a sequence prefix")
     p.add_argument("which", choices=["a", "b"])
-    p.add_argument("--max", type=int, required=True, help="last index to compute")
+    p.add_argument("--max", type=_integer("--max"), required=True, help="last index to compute")
     p.add_argument("--path", choices=list(A_PATHS), default="factored")
-    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
-    p.add_argument("--digit-limit", type=_positive_int, default=DIGIT_PRINT_LIMIT,
+    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=ORACLE_BOUND)
+    p.add_argument("--digit-limit", type=_integer("--digit-limit", 1), default=DIGIT_PRINT_LIMIT,
                    help="largest decimal rendering to attempt per term")
     p.set_defaults(handler=_cmd_seq)
 
     p = sub.add_parser("delta", parents=[common], help="minimal divisor gap of an integer")
-    p.add_argument("m", type=int)
-    p.add_argument("--above", type=int, default=None,
+    p.add_argument("m", type=_integer("m"))
+    p.add_argument("--above", type=_integer("--above"), default=None,
                    help="restrict to gaps strictly above this threshold")
-    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=ORACLE_BOUND)
     p.set_defaults(handler=_cmd_delta)
 
     p = sub.add_parser("divisors", parents=[common], help="divisors of an integer")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=_integer("m"))
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
-    p.add_argument("--divisor-cap", type=_positive_int, default=DIVISOR_CAP)
+    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=ORACLE_BOUND)
+    p.add_argument("--divisor-cap", type=_integer("--divisor-cap", 1), default=DIVISOR_CAP)
     p.set_defaults(handler=_cmd_divisors)
 
     p = sub.add_parser("theorem", parents=[common],
                        help="check gap term = 2^b(n) over a range")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_integer("--max"), required=True)
     p.add_argument("--path", choices=list(A_PATHS), default="factored")
-    p.add_argument("--oracle-bound", type=_positive_int, default=ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=ORACLE_BOUND)
     p.set_defaults(handler=_cmd_theorem)
 
     p = sub.add_parser("lemma", parents=[common], help="check a 3*2^k divisor law")
     p.add_argument("which", choices=["1", "2"],
                    help="1: divisor count; 2: middle-pair gap")
-    p.add_argument("--max-k", default=30, type=_digit_limited(
-        "--max-k", lambda: MAX_K_LIMIT, "the largest k either 3*2^k law checks"))
+    p.add_argument("--max-k", type=_integer("--max-k"), default=30)
     p.set_defaults(handler=_cmd_lemma)
 
     p = sub.add_parser("josephus", parents=[common], help="circle-game survivor")
-    p.add_argument("--n", required=True, type=_digit_limited(
-        "--n", _largest_survivor_n, "the largest n any survivor route admits"))
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_integer("--n"), required=True)
+    p.add_argument("--q", type=_integer("--q"), required=True)
     p.add_argument("--algo", choices=["recurrence", "simulation", "ow", "all"], default="all")
-    p.add_argument("--sim-cap", type=_positive_int, default=SIMULATION_CAP)
+    p.add_argument("--sim-cap", type=_integer("--sim-cap", 1), default=SIMULATION_CAP)
     p.set_defaults(handler=_cmd_josephus)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant digits")
     p.add_argument("which", choices=["c", "k3"])
-    p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
-    p.add_argument("--digits", type=_positive_int, default=None,
+    p.add_argument("--terms", type=_integer("--terms", 1), default=DEFAULT_TERMS)
+    p.add_argument("--digits", type=_integer("--digits", 1), default=None,
                    help="cap on rendered decimal places (default: maximal)")
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("verify", parents=[common], help="cross-checks between components")
     p.add_argument("target", choices=["relation"])
-    p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
-    p.add_argument("--min-places", type=_positive_int, default=RELATION_PLACES)
+    p.add_argument("--terms", type=_integer("--terms", 1), default=DEFAULT_TERMS)
+    p.add_argument("--min-places", type=_integer("--min-places", 1), default=RELATION_PLACES)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("reproduce", parents=[common],
                        help="recompute every reference value and identity")
     p.add_argument("--fast-only", action="store_true",
                    help="skip the trial-division oracle rows")
-    p.add_argument("--terms", type=_positive_int, default=DEFAULT_TERMS)
+    p.add_argument("--terms", type=_integer("--terms", 1), default=DEFAULT_TERMS)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
 
 
-def _emit_failure(args, exc: Exception, status: str, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    if getattr(args, "json", False):
-        result = {"error": type(exc).__name__, "message": str(exc)}
-        _print_json(_envelope(args, result, status))
+def _fail(exc: Exception, argv: list[str], args=None) -> int:
+    """Report a failed run on stderr, and under --json as an envelope; return its exit code.
+
+    args is the parsed command line, or None when parsing argv raised exc:
+    the envelope then has no parameters, and names the subcommand argparse
+    reached, or for an argument refused by its length the first argument of
+    argv that is not an option.
+    """
+    status, code = outcome(exc)
+    sys.stderr.write(exc.report if isinstance(exc, UsageError) else f"error: {exc}\n")
+    result = {"error": type(exc).__name__, "message": str(exc)}
+    if args is not None:
+        if args.json:
+            _print_json(_envelope(args, result, status))
+    elif _json_requested(argv):
+        command = (exc.command if isinstance(exc, UsageError)
+                   else next((a for a in argv if not a.startswith("-")), None))
+        _print_json({"command": command, "parameters": {}, "result": result, "status": status})
     return code
-
-
-def _parse_failure(exc: DivgapError, command: str | None, report: str, argv: list[str]) -> int:
-    """Report an error raised while parsing, with an envelope under --json."""
-    sys.stderr.write(report)
-    if _json_requested(argv):
-        result = {"error": type(exc).__name__, "message": str(exc)}
-        _print_json({"command": command, "parameters": {}, "result": result,
-                     "status": exc.status})
-    return exc.exit_code
 
 
 def run(argv=None) -> int:
     """Parse argv, execute, print, and return the exit code."""
-    # integer arguments parse through int() and plain lines format survivors
-    # with str(), so the interpreter's own conversion guard must not undercut
-    # either; raised before parsing, a long argument reaches the documented
-    # refusals instead of an argparse echo of every digit. seq terms and
-    # certified digits render through decimal_str and never reach the guard.
-    # The guard is not lowered again on return: divbench's certify oracle
-    # renders digits with str() in the interpreter that ran the jobs, and
-    # relies on it
+    # No integer argument or plain line reaches the interpreter's int-to-str
+    # guard: an argument has at most ARGUMENT_DIGITS digits, the guard's
+    # default, before int() reads it, and every value printed with str() is
+    # at most one of them; seq terms and certified digits render through
+    # decimal_str. The guard is raised, and not lowered again on return, for
+    # divbench's certify oracle alone, which renders digits with str() in
+    # the interpreter that ran the jobs and relies on it
     wanted = DIGIT_PRINT_LIMIT + 100
     if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
         sys.set_int_max_str_digits(wanted)
@@ -607,24 +600,16 @@ def run(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        return _parse_failure(exc, exc.command, exc.report, argv)
-    except ResourceLimit as exc:
-        # an integer flag refused by its length (_digit_limited); the first
-        # argument that is not an option is the subcommand that defines it
-        command = next((a for a in argv if not a.startswith("-")), None)
-        return _parse_failure(exc, command, f"error: {exc}\n", argv)
     except SystemExit:
         return EXIT_OK  # --help, printed in full
-    if getattr(args, "bfile", False) and args.command != "seq":
-        print("error: --bfile applies only to seq", file=sys.stderr)
-        return EXIT_USAGE
+    except DivgapError as exc:
+        return _fail(exc, argv)
+    if args.bfile and args.command != "seq":
+        return _fail(ValueError("--bfile applies only to seq"), argv, args)
     try:
         result, lines, ok = args.handler(args)
-    except DivgapError as exc:
-        return _emit_failure(args, exc, exc.status, exc.exit_code)
-    except ValueError as exc:
-        return _emit_failure(args, exc, "error", EXIT_USAGE)
+    except (DivgapError, ValueError) as exc:
+        return _fail(exc, argv, args)
     if args.json:
         _print_json(_envelope(args, result, "ok" if ok else "finding"))
     else:

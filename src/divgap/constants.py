@@ -18,7 +18,8 @@ from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 
-from .errors import DEFAULT_TERMS, EmptyIntersection  # noqa: F401 (DEFAULT_TERMS: public here)
+# DEFAULT_TERMS is public here
+from .errors import DEFAULT_TERMS, EmptyIntersection, brief  # noqa: F401
 from .intervals import RationalInterval, render_digits
 
 K3_SCALE = Fraction(2, 9)
@@ -183,7 +184,7 @@ def c_enclosure(n_terms: int) -> RationalInterval:
     is 3b_n or 3b_n + 1 for n >= 2 and 2 for n = 1, so b_n = (u_n + 1) // 3.
     """
     if n_terms < 1:
-        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+        raise ValueError(f"n_terms must be at least 1, got {brief(n_terms)}")
     u = 2
 
     def blocks():
@@ -213,7 +214,7 @@ def k3_enclosure(n_terms: int) -> RationalInterval:
     bounds fall, so the intervals nest and the width is exactly 2 * (2/3)**n.
     """
     if n_terms < 1:
-        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+        raise ValueError(f"n_terms must be at least 1, got {brief(n_terms)}")
     e = _iterate_q3(2, n_terms)
     den = 3**n_terms
     return RationalInterval(Fraction(e << n_terms, den), Fraction((e + 2) << n_terms, den))
@@ -234,7 +235,7 @@ def relation_check(n_terms: int) -> RelationReport:
     raised: it would be a mathematically meaningful negative result.
     """
     if n_terms < 1:
-        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+        raise ValueError(f"n_terms must be at least 1, got {brief(n_terms)}")
     c_iv = c_enclosure(n_terms)
     scaled = k3_enclosure(n_terms).scale(K3_SCALE)
     hull = c_iv.hull(scaled)

@@ -125,7 +125,7 @@ def _check_bound(n: int, bound: int, named: str, instead: str) -> None:
     """Raise OracleBoundExceeded, naming n as named.format(brief(n)), when n > bound."""
     if n > bound:
         raise OracleBoundExceeded(
-            f"{named.format(brief(n))} exceeds the trial-division bound {bound}; "
+            f"{named.format(brief(n))} exceeds the trial-division bound {brief(bound)}; "
             f"raise it with --oracle-bound or {instead}"
         )
 
@@ -140,7 +140,7 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     raises; nothing is ever assumed about it.
     """
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise ValueError(f"m must be positive, got {brief(m)}")
     found = {}
     rest = m
     for p in hints:
@@ -184,7 +184,7 @@ def _divide_out(rest: int, p: int) -> tuple[int, int]:
 def divisor_list(m: int) -> list[int]:
     """All divisors of m in increasing order, by trial division up to isqrt(m)."""
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise ValueError(f"m must be positive, got {brief(m)}")
     _check_bound(m, ORACLE_BOUND, "m={}", "use divisor_list_factored")
     small, large = [], []
     for d in range(1, isqrt(m) + 1):
@@ -248,7 +248,8 @@ def _oracle_min_pair(m: int, threshold: int | None, oracle_bound: int) -> Diviso
     for d in range(start, 0, -1):
         if not m % d:
             return DivisorPair(d, m // d)
-    raise NoQualifyingPair(f"no divisor pair of {m} has difference above {threshold}")
+    raise NoQualifyingPair(
+        f"no divisor pair of {brief(m)} has difference above {brief(threshold)}")
 
 
 # --- gap computations, factored route ---
@@ -310,11 +311,12 @@ def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tup
 
     Returns (p, E, chains) where p carries the largest exponent (the larger
     prime on a tie, as pairs come sorted by prime) and chains lists
-    (s, T // s) over every divisor s of T. The chain count equals the
-    divisor count of T, so it is capped at DIVISOR_CAP like any other
+    (s, T // s) over every divisor s of T; the empty factorization splits as
+    2**0 with the single chain (1, 1). The chain count equals the divisor
+    count of T, so it is capped at DIVISOR_CAP like any other
     materialization.
     """
-    ordered = sorted(pairs, key=lambda pe: pe[1])
+    ordered = sorted(pairs, key=lambda pe: pe[1]) or [(2, 0)]
     p, e_big = ordered[-1]
     rest = ordered[:-1]
     count = _divisor_count(rest)
@@ -383,15 +385,9 @@ def _walk(split: tuple[int, int, list[tuple[int, int]]],
             a = min(a - 1, e_big - (_ilog(q, p) + 1 if q else 0))
     if best is None:
         raise NoQualifyingPair(
-            f"no divisor pair of the factored input has difference above {threshold}"
+            f"no divisor pair of the factored input has difference above {brief(threshold)}"
         )
     return (p, e_big, *best)
-
-
-def _min_gap_step(f: Factorization, threshold: int | None) -> tuple[int, int, int, int, int, int]:
-    """_walk over a fresh split of f."""
-    # the empty factorization walks as 2**0 with the single chain (1, 1)
-    return _walk(_chain_split(f.pairs or ((2, 0),)), threshold)
 
 
 def _gap_exponents(step: tuple[int, int, int, int, int, int], primes,
@@ -441,12 +437,12 @@ def _min_pair(m: int | Factorization, threshold: int | None, oracle_bound: int) 
     An int goes to the trial-division oracle, a Factorization to the walk.
     """
     if isinstance(m, Factorization):
-        p, e_big, s, a, c, _ = _min_gap_step(m, threshold)
+        p, e_big, s, a, c, _ = _walk(_chain_split(m.pairs), threshold)
         return DivisorPair(s * _pow(p, a), c * _pow(p, e_big - a))
     if threshold is None and m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise ValueError(f"m must be positive, got {brief(m)}")
     if threshold is not None and m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+        raise ValueError(f"m must be at least 2, got {brief(m)}")
     return _oracle_min_pair(m, threshold, oracle_bound)
 
 
@@ -470,7 +466,7 @@ def delta_above(
     divisors on the small side of the square root.
     """
     if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+        raise ValueError(f"threshold must be nonnegative, got {brief(threshold)}")
     return _min_pair(m, threshold, oracle_bound)
 
 
@@ -488,8 +484,8 @@ def gap_factorization(
     primes, and raises OracleBoundExceeded when the rest is above oracle_bound.
     """
     if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    step = _min_gap_step(f, threshold)
+        raise ValueError(f"threshold must be nonnegative, got {brief(threshold)}")
+    step = _walk(_chain_split(f.pairs), threshold)
     return Factorization._proven(_gap_exponents(step, (q for q, _ in f.pairs), oracle_bound))
 
 
@@ -499,7 +495,7 @@ def gap_factorization(
 def _check_max_k(max_k: int) -> None:
     """Refuse a 3*2^k law's range before any record is built."""
     if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
+        raise ValueError(f"max_k must be at least 1, got {brief(max_k)}")
     if max_k > MAX_K_LIMIT:
         raise ResourceLimit(
             f"max_k={brief(max_k)} is above the limit {MAX_K_LIMIT} "

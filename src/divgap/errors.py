@@ -25,6 +25,11 @@ MAX_K_LIMIT = 10**5
 # The two routes to the gap sequence: trial division and the exponent-space walk.
 A_PATHS = ("oracle", "factored")
 
+# Most digits an integer argument may have: CPython's default int-string
+# limit, up to which int() takes microseconds. A longer one is refused by its
+# digit count before int() reads it.
+ARGUMENT_DIGITS = 4300
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
@@ -35,8 +40,10 @@ ECHO_BITS = 256
 
 
 def brief(x: int) -> str:
-    """x in decimal for a message, or its bit length when it is too long to echo."""
-    return str(x) if x.bit_length() <= ECHO_BITS else f"<{x.bit_length()}-bit integer>"
+    """x in decimal for a message, or its sign and bit length when it is too long to echo."""
+    if x.bit_length() <= ECHO_BITS:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
 class DivgapError(Exception):
@@ -88,3 +95,11 @@ class EmptyIntersection(DivgapError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+def outcome(exc: Exception) -> tuple[str, int]:
+    """The CLI's (status, exit code) for a failed run: a library error's own
+    row; a ValueError, an argument outside a function's domain, is a usage error."""
+    if isinstance(exc, DivgapError):
+        return exc.status, exc.exit_code
+    return "error", EXIT_USAGE

@@ -13,7 +13,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from math import isqrt
 
 from .errors import SIMULATION_CAP, ResourceLimit, SimulationCapExceeded, brief
 from .report import CheckedRecord
@@ -43,25 +42,14 @@ class SurvivorResult(CheckedRecord, namedtuple("SurvivorResult", "n q survivor a
 
 def _validate(n: int, q: int) -> None:
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {brief(n)}")
     if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+        raise ValueError(f"q must be at least 2, got {brief(q)}")
 
 
 def _step_limit(widest: int) -> int:
     """Most steps BIT_OP_LIMIT admits on terms up to widest."""
     return BIT_OP_LIMIT // max(WORD_BITS, widest.bit_length())
-
-
-def largest_admitted_n() -> int:
-    """The largest n any survivor route admits, at any q.
-
-    The simulation stops at 2**32. The recurrence and the ceiling iteration
-    admit the widest n at q = 2, where both predict 2 * B steps on B-bit
-    terms and the step limit is BIT_OP_LIMIT // B: so up to
-    B = isqrt(BIT_OP_LIMIT // 2) bits.
-    """
-    return (1 << isqrt(BIT_OP_LIMIT // 2)) - 1
 
 
 def _recurrence_steps(n: int, q: int) -> tuple[int, int]:
@@ -85,7 +73,7 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     predicted, limit = _recurrence_steps(n, q)
     if predicted > limit:
         raise ResourceLimit(
-            f"the recurrence would take up to {predicted} iterations at n={brief(n)}, "
+            f"the recurrence would take up to {brief(predicted)} iterations at n={brief(n)}, "
             f"q={brief(q)}, above the limit {limit}; lower --q or --n"
         )
     pos, m = 0, 1
@@ -148,7 +136,7 @@ def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP)
     _validate(n, q)
     if n > simulation_cap:
         raise SimulationCapExceeded(
-            f"n={n} exceeds the simulation cap {simulation_cap}; "
+            f"n={brief(n)} exceeds the simulation cap {brief(simulation_cap)}; "
             "raise it with --sim-cap or use the recurrence"
         )
     if n > 1 << 32:
@@ -209,7 +197,7 @@ def survivor_via_ow(n: int, q: int) -> SurvivorResult:
         steps, recurrence_limit = _recurrence_steps(n, q)
         advice = "use --algo recurrence" if steps <= recurrence_limit else "lower --q or --n"
         raise ResourceLimit(
-            f"the ceiling iteration would take up to {predicted} steps at q={brief(q)}, "
+            f"the ceiling iteration would take up to {brief(predicted)} steps at q={brief(q)}, "
             f"above the limit {limit}; {advice}"
         )
     term = 1

@@ -15,7 +15,7 @@ from itertools import islice
 from math import ceil
 
 from .divisors import _chain_split, _gap_exponents, _grow, _walk, delta_above
-from .errors import A_PATHS, ORACLE_BOUND, InsufficientPrecision
+from .errors import A_PATHS, ORACLE_BOUND, InsufficientPrecision, brief
 from .intervals import RationalInterval
 from .report import CheckRecord, VerificationReport
 
@@ -75,7 +75,7 @@ def b_terms(n_max: int) -> Iterator[int]:
 def _b_prefix(n_max: int) -> Iterator[tuple[int, int]]:
     """The (odd, e) records of b(1), ..., b(n_max), made as they are pulled."""
     if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise ValueError(f"n_max must be at least 1, got {brief(n_max)}")
     return map(_odd_record, b_terms(n_max))
 
 
@@ -122,8 +122,10 @@ def a_records(path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
 def _a_prefix(n_max: int, path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
     """The records of a(0), ..., a(n_max) from a_records, walked as they are pulled."""
     if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return islice(a_records(path, oracle_bound), n_max + 1)
+        raise ValueError(f"n_max must be nonnegative, got {brief(n_max)}")
+    # a range, not islice, whose stop may not exceed sys.maxsize; it comes
+    # first, so the zip stops before it pulls a record past n_max
+    return (record for _, record in zip(range(n_max + 1), a_records(path, oracle_bound)))
 
 
 def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> SequenceReport:
@@ -146,7 +148,7 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     with b(n) (actual is None for a term that is not a power of two at all).
     """
     if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
+        raise ValueError(f"n_max must be at least 3, got {brief(n_max)}")
     records = []
     product = 48  # terms 0..2: 4 * 3 * 4
     e_big = 4  # the exponent of 2 in that product

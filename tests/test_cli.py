@@ -21,6 +21,8 @@ import pytest
 from cli_run import fresh_interpreter, run_cli
 
 import divgap
+from divgap.cli import build_parser
+from divgap.errors import ARGUMENT_DIGITS, ResourceLimit
 
 
 def run_process(*args):
@@ -539,8 +541,8 @@ def test_a_long_n_is_refused_before_it_is_parsed(json_flag):
     out, err = proc.stdout, proc.stderr
     assert proc.returncode == 3
     assert elapsed < 0.05
-    assert err == ("error: --n has 300000 digits, above the 1703 of the largest n any "
-                   "survivor route admits; lower --n\n")
+    assert err == ("error: --n has 300000 digits, above the 4300 an integer argument may "
+                   "have; lower --n\n")
     if json_flag:
         top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
         assert top == {"command": "josephus", "parameters": [],
@@ -557,27 +559,30 @@ def test_a_long_negative_n_is_a_usage_error(json_flag):
     proc = run_cli("josephus", "--n", n, "--q", "2", *json_flag)
     assert time.perf_counter() - start < 0.05
     assert proc.returncode == 2
-    assert "argument --n: must be at least 1" in proc.stderr and n not in proc.stderr
+    assert "argument --n: must not be negative, got a negative value of 300000 digits" \
+        in proc.stderr and n not in proc.stderr
     assert bool(proc.stdout) == bool(json_flag)
 
 
 def test_the_digit_count_skips_what_int_accepts_around_the_digits():
     # leading zeros, whitespace, a sign and underscores are no digits
-    for n in ("0" * 5000 + "7", " +0_0" + "0" * 3000 + "7\t"):
+    for n in ("0" * 5000 + "7", " +0_0" + "0" * 4400 + "7\t"):
         proc = run_cli("josephus", "--n", n, "--q", "2")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n=7 q=2 survivor=7 [recurrence]"
-    # as many digits as the largest admitted n: the routes decide, admitting
-    # 10^1702 and refusing 10^1703 - 1
+    # up to ARGUMENT_DIGITS digits the routes decide: the bit budget admits
+    # 10^1702 and refuses 10^1703, 1,704 digits, and 4,300 nines
     proc = run_cli("josephus", "--n", "1" + "0" * 1702, "--q", "2", "--algo", "ow")
     assert proc.returncode == 0
-    proc = run_cli("josephus", "--n", "9" * 1703, "--q", "2", "--algo", "ow")
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("error: the ceiling iteration would take")
-    # one digit more is refused by its length
-    proc = run_cli("josephus", "--n", "1" + "0" * 1703, "--q", "2", "--algo", "ow")
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("error: --n has 1704 digits")
+    for n in ("1" + "0" * 1703, "9" * ARGUMENT_DIGITS):
+        proc = run_cli("josephus", "--n", n, "--q", "2", "--algo", "ow")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: the ceiling iteration would take")
+    # one digit more is refused by its length, however it is padded
+    for n in ("1" + "0" * ARGUMENT_DIGITS, " +0_0" + "9" * (ARGUMENT_DIGITS + 1)):
+        proc = run_cli("josephus", "--n", n, "--q", "2", "--algo", "ow")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: --n has 4301 digits")
     # what is no integer stays argparse's usage error
     proc = run_cli("josephus", "--n", "12x", "--q", "2")
     assert proc.returncode == 2
@@ -635,8 +640,8 @@ def test_a_long_max_k_is_refused_before_it_is_parsed(which, json_flag):
     out, err = proc.stdout, proc.stderr
     assert proc.returncode == 3
     assert elapsed < 0.05
-    assert err == ("error: --max-k has 300000 digits, above the 6 of the largest k either "
-                   "3*2^k law checks; lower --max-k\n")
+    assert err == ("error: --max-k has 300000 digits, above the 4300 an integer argument "
+                   "may have; lower --max-k\n")
     if json_flag:
         top = dict(json.loads(out, object_pairs_hook=lambda kv: kv))
         assert top == {"command": "lemma", "parameters": [],
@@ -647,18 +652,21 @@ def test_a_long_max_k_is_refused_before_it_is_parsed(which, json_flag):
 
 
 def test_max_k_keeps_its_range_errors_up_to_the_limit_digits():
-    # as many digits as MAX_K_LIMIT: the law refuses, as before the count
-    proc = run_cli("lemma", "1", "--max-k", "100001")
-    assert proc.returncode == 3
-    assert proc.stderr == ("error: max_k=100001 is above the limit 100000 "
-                           "(one record is kept per k); lower --max-k\n")
-    proc = run_cli("lemma", "2", "--max-k", "-5")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: max_k must be at least 1, got -5\n"
+    # up to ARGUMENT_DIGITS digits the law refuses, naming a long value by its size
+    for k, shown in (("100001", "100001"), ("1000000", "1000000"),
+                     ("9" * ARGUMENT_DIGITS, "<14285-bit integer>")):
+        proc = run_cli("lemma", "1", "--max-k", k)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"error: max_k={shown} is above the limit 100000 "
+                               "(one record is kept per k); lower --max-k\n")
+    for k, shown in (("-5", "-5"), ("-" + "9" * ARGUMENT_DIGITS, "-<14285-bit integer>")):
+        proc = run_cli("lemma", "2", "--max-k", k)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: max_k must be at least 1, got {shown}\n"
     # a negative one past the count is a usage error, and so is no integer
     proc = run_cli("lemma", "2", "--max-k", "-" + "9" * 5000)
     assert proc.returncode == 2
-    assert "argument --max-k: must be at least 1, got a negative value of 5000 digits" \
+    assert "argument --max-k: must not be negative, got a negative value of 5000 digits" \
         in proc.stderr
     proc = run_cli("lemma", "1", "--max-k", "3.5")
     assert proc.returncode == 2
@@ -685,14 +693,125 @@ def test_seq_refuses_the_first_term_over_the_print_budget_as_it_streams(json_fla
 
 @pytest.mark.parametrize("command", ["delta", "divisors"])
 def test_a_long_argument_is_refused_without_echoing_it(command):
-    m = "7" * 5000
-    proc = run_cli(command, m)
+    # ARGUMENT_DIGITS digits reach the oracle bound, one more the digit ceiling
+    for m, named in (("7" * ARGUMENT_DIGITS, ("--oracle-bound", "14284-bit")),
+                     ("7" * 5000, ("m has 5000 digits", "lower m"))):
+        proc = run_cli(command, m)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert all(part in proc.stderr for part in named)
+        assert "7" * 100 not in proc.stderr
+        assert len(proc.stderr) < 300
+
+
+# every integer argument, as the argv that reaches it with {} in its place
+INTEGER_ARGUMENTS = [
+    ("seq", "a", "--max", "{}"),
+    ("seq", "a", "--max", "3", "--oracle-bound", "{}"),
+    ("seq", "a", "--max", "3", "--digit-limit", "{}"),
+    ("delta", "{}"),
+    ("delta", "48", "--above", "{}"),
+    ("delta", "48", "--oracle-bound", "{}"),
+    ("divisors", "{}"),
+    ("divisors", "48", "--oracle-bound", "{}"),
+    ("divisors", "48", "--divisor-cap", "{}"),
+    ("theorem", "--max", "{}"),
+    ("theorem", "--max", "3", "--oracle-bound", "{}"),
+    ("lemma", "1", "--max-k", "{}"),
+    ("josephus", "--n", "{}", "--q", "2"),
+    ("josephus", "--n", "5", "--q", "{}"),
+    ("josephus", "--n", "5", "--q", "2", "--sim-cap", "{}"),
+    ("constants", "c", "--terms", "{}"),
+    ("constants", "c", "--digits", "{}"),
+    ("verify", "relation", "--terms", "{}"),
+    ("verify", "relation", "--min-places", "{}"),
+    ("reproduce", "--terms", "{}"),
+]
+
+
+def argument_name(argv):
+    """The option in front of the {} of argv, or m for the positional one."""
+    i = argv.index("{}")
+    return argv[i - 1] if argv[i - 1].startswith("--") else "m"
+
+
+def test_the_integer_arguments_are_every_typed_argument_of_the_parser():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    typed = {(name, a.option_strings[0] if a.option_strings else a.dest)
+             for name, p in sub.choices.items() for a in p._actions if a.type is not None}
+    listed = {(argv[0], argument_name(argv)) for argv in INTEGER_ARGUMENTS}
+    assert typed == listed and len(listed) == len(INTEGER_ARGUMENTS) == 20
+
+
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS, ids=" ".join)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_every_integer_argument_has_one_digit_ceiling(argv, json_flag):
+    flag = argument_name(argv)
+
+    def at(value):
+        return [value if a == "{}" else a for a in argv] + list(json_flag)
+
+    # 300,000 digits are refused by their count, before int() reads them
+    start = time.perf_counter()
+    proc = run_cli(*at("1" + "0" * 299999))
+    assert time.perf_counter() - start < 0.05
     assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert "--oracle-bound" in proc.stderr
-    assert "16610-bit" in proc.stderr
-    assert "7" * 100 not in proc.stderr
-    assert len(proc.stderr) < 300
+    err = (f"error: {flag} has 300000 digits, above the 4300 an integer argument may have; "
+           f"lower {flag}\n")
+    assert proc.stderr == err
+    if json_flag:
+        assert json.loads(proc.stdout) == {
+            "command": argv[0], "parameters": {}, "status": "error",
+            "result": {"error": "ResourceLimit", "message": err[7:-1]}}
+    else:
+        assert proc.stdout == ""
+    # a negative one that long is a usage error
+    proc = run_cli(*at("-" + "1" * 300000))
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(
+        f"argument {flag}: must not be negative, got a negative value of 300000 digits\n")
+    assert bool(proc.stdout) == bool(json_flag)
+    # ARGUMENT_DIGITS digits parse and go to the route; one more does not
+    value = "9" * ARGUMENT_DIGITS
+    args = build_parser().parse_args(at(value))
+    assert int(value) in vars(args).values()
+    with pytest.raises(ResourceLimit, match=f"^{flag} has {ARGUMENT_DIGITS + 1} digits"):
+        build_parser().parse_args(at(value + "9"))
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_seq_a_past_the_machine_size_stops_at_the_print_budget(json_flag):
+    # the stream is bounded by a range, so a stop above sys.maxsize is no
+    # usage error: 10^19 terms stop at term 40, as a billion do
+    proc = run_cli("seq", "a", "--max", "10000000000000000000", *json_flag)
+    assert proc.returncode == 3
+    assert proc.stderr == run_cli("seq", "a", "--max", "40", *json_flag).stderr
+    assert proc.stderr.startswith("error: term 40 needs about 1199972 decimal digits")
+
+
+def test_messages_name_long_command_line_integers_by_their_size():
+    big, neg = str(10**100), str(-(10**100))
+    for args, code, shown in [
+        (("delta", "48", "--above", big), 4,
+         "no divisor pair of 48 has difference above <333-bit integer>"),
+        (("josephus", "--n", big, "--q", "2", "--algo", "simulation"), 3,
+         "n=<333-bit integer> exceeds the simulation cap 1000000"),
+        (("josephus", "--n", neg, "--q", "2"), 2, "n must be at least 1, got -<333-bit integer>"),
+        (("josephus", "--n", "5", "--q", neg), 2, "q must be at least 2, got -<333-bit integer>"),
+        (("delta", neg), 2, "m must be positive, got -<333-bit integer>"),
+        (("delta", "48", "--above", neg), 2,
+         "threshold must be nonnegative, got -<333-bit integer>"),
+        (("seq", "a", "--max", neg), 2, "n_max must be nonnegative, got -<333-bit integer>"),
+        (("theorem", "--max", neg), 2, "n_max must be at least 3, got -<333-bit integer>"),
+        (("seq", "a", "--max", "3", "--digit-limit", neg), 2,
+         "argument --digit-limit: must be at least 1, got -<333-bit integer>"),
+    ]:
+        proc = run_cli(*args)
+        assert proc.returncode == code, args
+        assert shown in proc.stderr and "0" * 100 not in proc.stderr, args
+    # the factored walk's refusal names its threshold the same way
+    with pytest.raises(divgap.NoQualifyingPair, match="difference above <333-bit integer>$"):
+        divgap.delta_above(divgap.Factorization(((2, 4), (3, 1))), 10**100)
 
 
 def test_raising_the_caps_unlocks_the_run():

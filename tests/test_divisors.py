@@ -46,7 +46,6 @@ from divgap.divisors import (
     _ilog,
     _is_prime,
     _le_scaled,
-    _min_gap_step,
     _oracle_min_pair,
     _pow,
     _walk,
@@ -227,8 +226,7 @@ def merged_min_gap_step(
     c * p**(E - 2a) - s or c - s * p**(2a - E), and E - 2a stays near log_p T
     close to the square root, so inner stays small however large E is.
     """
-    # the empty factorization walks as 2**0 with the single chain (1, 1)
-    p, e_big, chains = _chain_split(f.pairs or ((2, 0),))
+    p, e_big, chains = _chain_split(f.pairs)
     # Walk down from the square root; the gap grows as the small side
     # shrinks, so the first qualifying divisor gives the minimal gap.
     for s, a, c in merged_small_side(p, e_big, chains):
@@ -239,7 +237,7 @@ def merged_min_gap_step(
         if threshold is None or (inner and not _le_scaled(inner, shared, threshold, p)):
             return p, e_big, s, a, c, inner
     raise NoQualifyingPair(
-        f"no divisor pair of the factored input has difference above {threshold}"
+        f"no divisor pair of the factored input has difference above {brief(threshold)}"
     )
 
 
@@ -253,8 +251,7 @@ def stepping_min_gap_step(
     c * p**(E - 2a) - s or c - s * p**(2a - E), and E - 2a stays near log_p T
     close to the square root, so inner stays small however large E is.
     """
-    # the empty factorization walks as 2**0 with the single chain (1, 1)
-    p, e_big, chains = _chain_split(f.pairs or ((2, 0),))
+    p, e_big, chains = _chain_split(f.pairs)
     # The gap strictly grows as the small side shrinks, so the qualifying
     # divisors are exactly those up to one bound. Each chain steps down from
     # its square-root boundary to its largest qualifying divisor, and the
@@ -275,7 +272,7 @@ def stepping_min_gap_step(
             a -= 1
     if best is None:
         raise NoQualifyingPair(
-            f"no divisor pair of the factored input has difference above {threshold}"
+            f"no divisor pair of the factored input has difference above {brief(threshold)}"
         )
     return (p, e_big, *best)
 
@@ -295,7 +292,7 @@ def hinted_gap_factorization(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    p, e_big, _, a, _, inner = _min_gap_step(f, threshold)
+    p, e_big, _, a, _, inner = _walk(_chain_split(f.pairs), threshold)
     rest = factorize(inner, oracle_bound=oracle_bound, hints=tuple(q for q, _ in f.pairs))
     shared = min(a, e_big - a)
     return rest.multiply(Factorization(((p, shared),))) if shared else rest
@@ -797,7 +794,7 @@ def assert_walks_agree(f: Factorization, thresholds) -> None:
     for t in thresholds:
         want = outcome(merged_min_gap_step, f, t)
         assert outcome(stepping_min_gap_step, f, t) == want, (f.pairs, t)
-        assert outcome(_min_gap_step, f, t) == want, (f.pairs, t)
+        assert outcome(_walk, _chain_split(f.pairs), t) == want, (f.pairs, t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -857,7 +854,7 @@ def test_walk_jumps_to_the_qualifying_step(e_big, t_exp):
     assert time.perf_counter() - start < 0.1
     assert pair == DivisorPair(2 ** (e_big - t_exp + 1), 3 * 2 ** (t_exp - 1))
     if e_big < 10**5:
-        assert _min_gap_step(f, 2**t_exp) == stepping_min_gap_step(f, 2**t_exp)
+        assert _walk(_chain_split(f.pairs), 2**t_exp) == stepping_min_gap_step(f, 2**t_exp)
 
 
 def test_walk_takes_the_threshold_log_once(monkeypatch):
@@ -874,7 +871,7 @@ def test_walk_takes_the_threshold_log_once(monkeypatch):
     f = Factorization(((2, 40), (3, 5), (5, 2), (7, 1)))
     for threshold in (12345, 30000, 10**5 + 3):
         logs.clear()
-        got = _min_gap_step(f, threshold)
+        got = _walk(_chain_split(f.pairs), threshold)
         assert logs.count(threshold) == 1
         assert got == stepping_min_gap_step(f, threshold)
 

@@ -29,7 +29,6 @@ from divgap.josephus import (
     SurvivorResult,
     _labels,
     _step_limit,
-    largest_admitted_n,
     ow_sequence,
     survivor_recurrence,
     survivor_simulation,
@@ -341,9 +340,11 @@ def test_wide_terms_are_refused_by_their_bit_operations(route):
 
 
 def test_largest_admitted_n_is_the_edge_of_every_route():
-    # the widest n of all sits at q = 2: both bit-budget routes admit it and
-    # refuse the next integer; every larger q and the simulation refuse it
-    n = largest_admitted_n()
+    # the widest n of all sits at q = 2, where both bit-budget routes
+    # predict 2 * B steps on B-bit terms against a limit of BIT_OP_LIMIT // B:
+    # they admit it and refuse the next integer; every larger q and the
+    # simulation refuse it
+    n = 2**5656 - 1
     assert n.bit_length() == 5656 and len(str(n)) == 1703
     assert survivor_recurrence(n, 2).survivor == survivor_via_ow(n, 2).survivor
     for route in (survivor_recurrence, survivor_via_ow):

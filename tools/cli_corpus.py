@@ -179,6 +179,12 @@ def commands() -> list[list[str]]:
     # a 300,000-digit --max-k, refused by its length before int() reads it
     argv = ["lemma", "1", "--max-k", "1" + "0" * 299999]
     out += [argv, argv + ["--json"]]
+    # the same digit ceiling on --q and --above, and a seq stop above
+    # sys.maxsize, refused at term 40 by the print budget
+    for argv in (["josephus", "--n", "5", "--q", "1" + "0" * 299999, "--algo", "recurrence"],
+                 ["delta", "48", "--above", "1" + "0" * 299999],
+                 ["seq", "a", "--max", "10000000000000000000"]):
+        out += [argv, argv + ["--json"]]
     return out
 
 
