@@ -155,30 +155,38 @@ def _cmd_divisors(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_theorem(args) -> tuple[dict, list[str], bool]:
-    from .intervals import decimal_str
     from .sequences import verify_theorem
 
     rep = verify_theorem(args.max, args.path, oracle_bound=args.oracle_bound)
-    lines = [
-        f"n={r.index} gap=2^{decimal_str(r.actual) if r.actual is not None else '?'} "
-        f"expected=2^{decimal_str(r.expected)} {'ok' if r.passed else 'MISMATCH'}"
-        for r in rep.records
-    ]
-    if rep.all_passed:
-        lines.append(f"all {len(rep.records)} checks pass (n=3..{args.max}, {args.path} path)")
-    else:
-        lines.append(f"{len(rep.failures)} of {len(rep.records)} checks FAILED")
+    failures = rep.failures
     result = {
         "max": args.max,
         "path": args.path,
         "checked": len(rep.records),
-        "all_passed": rep.all_passed,
+        "all_passed": not failures,
         "failures": [
             {"n": r.index, "expected_exponent": r.expected, "actual_exponent": r.actual}
-            for r in rep.failures
+            for r in failures
         ],
     }
-    return result, lines, rep.all_passed
+    # --json prints the result alone, so the lines are formatted only without it
+    if args.json:
+        return result, [], not failures
+    from .intervals import decimal_str
+
+    lines = []
+    for r in rep.records:
+        expected = decimal_str(r.expected)
+        # an exponent that matches is rendered once for both places
+        actual = (expected if r.actual == r.expected
+                  else "?" if r.actual is None else decimal_str(r.actual))
+        lines.append(f"n={r.index} gap=2^{actual} expected=2^{expected} "
+                     f"{'ok' if r.passed else 'MISMATCH'}")
+    if failures:
+        lines.append(f"{len(failures)} of {len(rep.records)} checks FAILED")
+    else:
+        lines.append(f"all {len(rep.records)} checks pass (n=3..{args.max}, {args.path} path)")
+    return result, lines, not failures
 
 
 def _cmd_lemma(args) -> tuple[dict, list[str], bool]:
@@ -441,18 +449,31 @@ def _json_requested(argv: list[str]) -> bool:
     return any(len(a) > 2 and "--json".startswith(a) for a in argv)
 
 
+# Text longer than this is named by its length in a usage message, not
+# echoed: the digits of 2**256 - 1, the longest integer brief echoes
+ECHO_CHARS = 78
+
+
 def _integer(flag: str, least: int | None = None):
     """The argparse type of every integer argument; least, if given, is 1.
 
     int() is quadratic in the digits: a 300,000-digit value takes most of a
     second to parse before any route refuses it. Text of at most
-    ARGUMENT_DIGITS characters goes straight to int(); in longer text the
-    digits are counted, leaving out what int() accepts around them
-    (whitespace, one sign, underscores) and leading zeros. More than
-    ARGUMENT_DIGITS of them are refused with exit 3, or as a usage error when
-    the value is negative, which no route admits. Every value that parses
-    goes to its route, which refuses what it cannot answer.
+    ARGUMENT_DIGITS characters goes straight to int(). Longer text is a
+    usage error unless it is decimal once what int() accepts around the
+    digits (whitespace, one sign, underscores) is set aside; its digits are
+    then counted, leaving out leading zeros. More than ARGUMENT_DIGITS of
+    them are refused with exit 3, or as a usage error when the value is
+    negative, which no route admits. Every value that parses goes to its
+    route, which refuses what it cannot answer.
     """
+
+    def invalid(text: str) -> argparse.ArgumentTypeError:
+        # argparse's own message for type=int, or for a positive count or cap
+        shown = repr(text) if len(text) <= ECHO_CHARS else f"<{len(text)}-character text>"
+        return argparse.ArgumentTypeError(
+            f"invalid int value: {shown}" if least is None
+            else f"expected a positive integer, got {shown}")
 
     def parse(text: str) -> int:
         if len(text) > ARGUMENT_DIGITS:
@@ -460,7 +481,10 @@ def _integer(flag: str, least: int | None = None):
             negative = body[:1] == "-"
             if body[:1] in ("+", "-"):
                 body = body[1:]
-            digits = len(body.replace("_", "").lstrip("0"))
+            body = body.replace("_", "")
+            if not body.isdecimal():
+                raise invalid(text)
+            digits = len(body.lstrip("0"))
             if digits > ARGUMENT_DIGITS:
                 if negative:
                     raise argparse.ArgumentTypeError(
@@ -470,10 +494,7 @@ def _integer(flag: str, least: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            # argparse's own message for type=int, or for a positive count or cap
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}" if least is None
-                else f"expected a positive integer, got {text!r}") from None
+            raise invalid(text) from None
         if least is not None and value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {brief(value)}")
         return value

@@ -291,21 +291,6 @@ def _ilog(x: int, p: int) -> int:
     return a
 
 
-def _le_scaled(s: int, k: int, t: int, p: int) -> bool:
-    """Exact s * p**k <= t for s >= 1 and any integer k; t >= 1, or t = 0 when k >= 0.
-
-    The power is only materialized when it fits inside the smaller operand,
-    so comparisons stay cheap even for exponents in the millions.
-    """
-    if k >= 0:
-        if k > _ilog(t, p):
-            return False
-        return s * p**k <= t
-    if -k > _ilog(s, p):
-        return True
-    return s <= t * p ** (-k)
-
-
 def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tuple[int, int]]]:
     """Split a factorization into p**E times a coprime part T.
 
@@ -330,22 +315,6 @@ def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tup
     return p, e_big, [(s, total // s) for s in small]
 
 
-def _boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
-    """Largest a in [0, e_big] with s * p**a <= c * p**(e_big - a), else -1.
-
-    That inequality says s * p**a is at most its complementary divisor, i.e.
-    at most the square root of the whole number. It reads
-    s * p**(2a - e_big) <= c, so with k the largest integer, possibly
-    negative, with s * p**k <= c, the answer is the largest a with
-    2a - e_big <= k. Below c, k = -j for the least j with p**j >= ceil(s/c).
-    """
-    if c >= s:
-        k = _ilog(c // s, p)
-    else:
-        k = -1 - _ilog(-(-s // c) - 1, p)
-    return max(-1, min(e_big, (e_big + k) // 2))
-
-
 def _walk(split: tuple[int, int, list[tuple[int, int]]],
           threshold: int | None) -> tuple[int, int, int, int, int, int]:
     """The minimal pair of p**E * T with difference above threshold, kept in pieces.
@@ -357,6 +326,8 @@ def _walk(split: tuple[int, int, list[tuple[int, int]]],
     square root, so inner stays small however large E is.
     """
     p, e_big, chains = split
+    # for p = 2 a power is a shift and a log a bit length
+    two = p == 2
     # The gap strictly grows as the small side shrinks, so the qualifying
     # divisors are exactly those up to one bound. Each chain steps down from
     # its square-root boundary to its largest qualifying divisor, and the
@@ -367,14 +338,33 @@ def _walk(split: tuple[int, int, list[tuple[int, int]]],
     # of 0 is exceeded by every gap
     t_log = _ilog(threshold, p) if threshold else -1
     for s, c in chains:
-        a = _boundary_exponent(s, c, p, e_big)
+        # The boundary is the largest a in [0, E] with s * p**a at most its
+        # complement c * p**(E - a), that is s * p**(2a - E) <= c. With k the
+        # largest integer, possibly negative, with s * p**k <= c, it is the
+        # largest a with 2a - E <= k. Below c, k = -j for the least j with
+        # p**j > (s - 1) // c, the least with s <= c * p**j. A chain whose
+        # boundary is negative has no divisor on the small side.
+        if c >= s:
+            k = (c // s).bit_length() - 1 if two else _ilog(c // s, p)
+        else:
+            k = -((s - 1) // c).bit_length() if two else -1 - _ilog((s - 1) // c, p)
+        a = min(e_big, (e_big + k) >> 1)
         while a >= 0:
             k = e_big - 2 * a
-            inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
-            j = min(a, e_big - a)
+            if k >= 0:
+                j = a
+                inner = ((c << k) if two else c * p**k) - s
+            else:
+                j = e_big - a
+                inner = c - ((s << -k) if two else s * p**-k)
             # inner is 0 only at an exact square root, where no threshold is met
-            if threshold is None or (inner and (j > t_log or inner * _pow(p, j) > threshold)):
-                if best is None or not _le_scaled(s, a - best[1], best[0], p):
+            if threshold is None or (inner and (
+                    j > t_log or ((inner << j) if two else inner * p**j) > threshold)):
+                # The largest candidate is the minimal pair's small side D,
+                # and every chain's lies in [D / (p * T), D], so the power of
+                # p between two of them is at most p * T**2
+                if best is None or (s * p**(a - best[1]) > best[0] if a >= best[1]
+                                    else s > best[0] * p**(best[1] - a)):
                     best = s, a, c, inner
                 break
             # Below the boundary the gap lies in [1 - 1/p**2, 1) times
@@ -399,15 +389,15 @@ def _gap_exponents(step: tuple[int, int, int, int, int, int], primes,
     left to factorize, which raises OracleBoundExceeded above oracle_bound.
     """
     p, e_big, _, a, _, inner = step
-    found = {}
-    for q in primes:
-        if inner % q == 0:
-            inner, found[q] = _divide_out(inner, q)
-    if inner > 1:
-        found.update(factorize(inner, oracle_bound=oracle_bound).pairs)
     shared = min(a, e_big - a)
-    if shared:
-        found[p] = found.get(p, 0) + shared
+    found = {p: shared} if shared else {}
+    if inner > 1:
+        for q in primes:
+            if not inner % q:
+                inner, e = _divide_out(inner, q)
+                found[q] = found.get(q, 0) + e
+        if inner > 1:
+            found.update(factorize(inner, oracle_bound=oracle_bound).pairs)
     return found
 
 
@@ -423,7 +413,8 @@ def _grow(product: dict[int, int], split: tuple[int, int, list[tuple[int, int]]]
     for q, e in gap.items():
         product[q] = product.get(q, 0) + e
     p, _, chains = split
-    if gap.keys() <= {p}:
+    # gap is 1 or a power of p alone
+    if len(gap) == (p in gap):
         return p, product[p], chains
     return _chain_split(tuple(sorted(product.items())))
 
@@ -507,9 +498,13 @@ def check_divisor_count_law(max_k: int) -> VerificationReport:
     """Check that 3 * 2**k has exactly 2k+2 divisors for k = 1..max_k.
 
     The exponent formula is checked for every k; full enumeration backs it
-    up for k up to BRUTE_UP_TO, through both enumeration routes.
+    up for k up to BRUTE_UP_TO, through both enumeration routes, which must
+    give the same list. Trial division runs once, on 3 * 2**k at the largest
+    such k: every smaller 3 * 2**k divides it, so its divisors are those of
+    the one enumeration that divide it.
     """
     _check_max_k(max_k)
+    enumerated = divisor_list(3 << min(max_k, BRUTE_UP_TO))
     records = []
     for k in range(1, max_k + 1):
         f = Factorization(((2, k), (3, 1)))
@@ -517,11 +512,9 @@ def check_divisor_count_law(max_k: int) -> VerificationReport:
         got = divisor_count(f)
         ok = got == expected
         if ok and k <= BRUTE_UP_TO:
-            ok = (
-                len(divisor_list_factored(f))
-                == len(divisor_list(3 * 2**k))
-                == expected
-            )
+            m = 3 << k
+            brute = [d for d in enumerated if not m % d]
+            ok = divisor_list_factored(f) == brute and len(brute) == expected
         records.append(CheckRecord(k, ok, expected, got))
     return VerificationReport("divisor-count law for 3*2^k", tuple(records))
 

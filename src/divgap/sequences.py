@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
-from math import ceil
+from math import ceil, prod
 
 from .divisors import _chain_split, _gap_exponents, _grow, _walk, delta_above
 from .errors import A_PATHS, ORACLE_BOUND, InsufficientPrecision, brief
@@ -111,11 +111,11 @@ def a_records(path: str, oracle_bound: int) -> Iterator[tuple[int, int]]:
         split = _chain_split(((2, 2),))
         while True:
             gap = _gap_exponents(_walk(split, 1), product, oracle_bound)
-            odd = 1
-            for p, e in gap.items():
-                if p != 2:
-                    odd *= p**e
-            yield odd, gap.get(2, 0)
+            two = gap.get(2, 0)
+            # while the identity holds each gap is 2**two alone, with no odd
+            # part to build
+            yield (1 if len(gap) == (two > 0)
+                   else prod(p**e for p, e in gap.items() if p != 2)), two
             split = _grow(product, split, gap)
 
 
@@ -133,6 +133,32 @@ def a_seq(n_max: int, path: str = "factored", *, oracle_bound: int = ORACLE_BOUN
     return SequenceReport("a", 0, path, tuple(_a_prefix(n_max, path, oracle_bound)))
 
 
+def _theorem_records(n_max: int, check_path: str, oracle_bound: int) -> Iterator[CheckRecord]:
+    """verify_theorem's record for n = 3, 4, ..., n_max, each made as it is pulled.
+
+    Only the running sums are kept between records, so a caller that keeps
+    only the failures and a count checks the identity in O(n_max)-bit memory.
+    """
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {brief(n_max)}")
+    product = 48  # terms 0..2: 4 * 3 * 4
+    e_big = 4  # the exponent of 2 in that product
+    # b(1) and b(2) have no gap term to match; the range comes first, so the
+    # zip stops before it pulls a gap past n_max from the endless stream
+    pairs = zip(range(3, n_max + 1), islice(a_records(check_path, oracle_bound), 3, None),
+                islice(b_terms(n_max), 2, None))
+    for n, (odd, e), b in pairs:
+        actual = e if odd == 1 else None
+        # lemma 2's exponent ceil(E/2) - 1, with a shift for the halving
+        ok = actual == b and e == ((e_big + 1) >> 1) - 1
+        e_big += e
+        if check_path == "factored" and product < CROSS_CHECK_BOUND:
+            a = odd << e
+            ok = ok and delta_above(product, 1, oracle_bound=CROSS_CHECK_BOUND).difference == a
+            product *= a
+        yield CheckRecord(n, ok, b, actual)
+
+
 def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: int = ORACLE_BOUND) -> VerificationReport:
     """Check gap term == 2**b(n) for n = 3..n_max.
 
@@ -147,25 +173,8 @@ def verify_theorem(n_max: int, check_path: str = "factored", *, oracle_bound: in
     Failures are recorded, not raised; records hold the exponents compared
     with b(n) (actual is None for a term that is not a power of two at all).
     """
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {brief(n_max)}")
-    records = []
-    product = 48  # terms 0..2: 4 * 3 * 4
-    e_big = 4  # the exponent of 2 in that product
-    # b(1) and b(2) have no gap term to match; the range comes first, so the
-    # zip stops before it pulls a gap past n_max from the endless stream
-    pairs = zip(range(3, n_max + 1), islice(a_records(check_path, oracle_bound), 3, None),
-                islice(b_terms(n_max), 2, None))
-    for n, (odd, e), b in pairs:
-        actual = e if odd == 1 else None
-        ok = actual == b and e == (e_big + 1) // 2 - 1
-        e_big += e
-        if check_path == "factored" and product < CROSS_CHECK_BOUND:
-            a = odd << e
-            ok = ok and delta_above(product, 1, oracle_bound=CROSS_CHECK_BOUND).difference == a
-            product *= a
-        records.append(CheckRecord(n, ok, b, actual))
-    return VerificationReport(f"gap term = 2^b(n) via {check_path} path", tuple(records))
+    records = tuple(_theorem_records(n_max, check_path, oracle_bound))
+    return VerificationReport(f"gap term = 2^b(n) via {check_path} path", records)
 
 
 def b_closed_form(n: int, c_enc: RationalInterval) -> int:

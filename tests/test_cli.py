@@ -21,7 +21,7 @@ import pytest
 from cli_run import fresh_interpreter, run_cli
 
 import divgap
-from divgap.cli import build_parser
+from divgap.cli import ECHO_CHARS, build_parser
 from divgap.errors import ARGUMENT_DIGITS, ResourceLimit
 
 
@@ -93,6 +93,38 @@ def test_theorem_prints_exponents_at_forty():
     proc = run_cli("theorem", "--max", "40")
     assert proc.returncode == 0
     assert "n=40 gap=2^3986219 expected=2^3986219 ok" in proc.stdout
+
+
+@pytest.mark.parametrize("skew, line", [
+    ("cross_check", "n=5 gap=2^3 expected=2^3 MISMATCH"),
+    ("odd_gap", "n=5 gap=2^? expected=2^3 MISMATCH"),
+])
+def test_theorem_prints_a_failed_record(monkeypatch, skew, line):
+    # n = 5 walks the product 384 = 2^7 * 3, split as p = 2, E = 7. The
+    # trial-division cross-check disagreeing there fails a record whose
+    # exponents match; a gap of 3 * 8 has no exponent to print
+    sequences = divgap.sequences
+    if skew == "cross_check":
+        real = sequences.delta_above
+        monkeypatch.setattr(sequences, "delta_above", lambda m, t, **kwargs: (
+            divgap.divisors.DivisorPair(1, m) if m == 384 else real(m, t, **kwargs)))
+    else:
+        real = sequences._gap_exponents
+        monkeypatch.setattr(sequences, "_gap_exponents", lambda step, *args: (
+            {2: 3, 3: 1} if step[:2] == (2, 7) else real(step, *args)))
+    proc = run_cli("theorem", "--max", "8")
+    assert proc.returncode == 4
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["n=3 gap=2^1 expected=2^1 ok", "n=4 gap=2^2 expected=2^2 ok"]
+    assert lines[2] == line
+    assert lines[-1].endswith(" of 6 checks FAILED")
+
+
+def test_theorem_formats_no_lines_under_json():
+    args = build_parser().parse_args(["theorem", "--max", "20", "--json"])
+    result, lines, ok = args.handler(args)
+    assert lines == []
+    assert ok and result["checked"] == 18 and result["failures"] == []
 
 
 def test_seq_print_budget():
@@ -562,6 +594,36 @@ def test_a_long_negative_n_is_a_usage_error(json_flag):
     assert "argument --n: must not be negative, got a negative value of 300000 digits" \
         in proc.stderr and n not in proc.stderr
     assert bool(proc.stdout) == bool(json_flag)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_text_that_is_no_integer_is_a_usage_error_at_any_length(json_flag):
+    # past the digit ceiling and below it, text that is not decimal once its
+    # sign, whitespace and underscores are set aside is argparse's usage
+    # error, and text longer than ECHO_CHARS is named by its length
+    for text, shown in (("x" * ECHO_CHARS, repr("x" * ECHO_CHARS)),
+                        ("x" * (ECHO_CHARS + 1), f"<{ECHO_CHARS + 1}-character text>"),
+                        ("x" * 4000, "<4000-character text>"),
+                        ("x" * 5000, "<5000-character text>"),
+                        (" -1_2" + "3" * 5000 + "x", "<5006-character text>"),
+                        ("\t" * 5000, "<5000-character text>")):
+        start = time.perf_counter()
+        proc = run_cli("delta", text, *json_flag)
+        assert time.perf_counter() - start < 0.05
+        assert proc.returncode == 2
+        message = f"argument m: invalid int value: {shown}"
+        assert proc.stderr.endswith(f"divgap delta: error: {message}\n")
+        assert len(proc.stderr) < 300
+        if json_flag:
+            assert json.loads(proc.stdout) == {
+                "command": "delta", "parameters": {},
+                "result": {"error": "UsageError", "message": message}, "status": "error"}
+        else:
+            assert proc.stdout == ""
+    proc = run_cli("divisors", "48", "--divisor-cap", "y" * 5000, *json_flag)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(
+        "argument --divisor-cap: expected a positive integer, got <5000-character text>\n")
 
 
 def test_the_digit_count_skips_what_int_accepts_around_the_digits():

@@ -9,8 +9,11 @@ reference for the downward scan and the range loops that replaced them. So
 is the factored walk's former search and merge (a binary search for each
 chain's square-root boundary, then a k-way merge of all chains in
 descending order), and its former per-chain walk, which stepped each chain
-down one exponent at a time: both are references for the walk that jumps to
-the qualifying step. The former gap_factorization, which factored inner
+down one exponent at a time from the binary search's boundary: both are
+references for the walk that jumps to the qualifying step and works out
+each boundary and power in line. The comparison both references use,
+le_scaled, is the walk's former one, which built a power only where it fit
+inside the smaller operand. The former gap_factorization, which factored inner
 with f's primes as hints and multiplied in p**shared, is the reference for
 the one that builds the gap's factorization in one mapping. The former
 check_middle_pair_law, which built a fresh Factorization and split per k,
@@ -39,13 +42,11 @@ from divgap.divisors import (
     ORACLE_BOUND,
     DivisorPair,
     Factorization,
-    _boundary_exponent,
     _chain_split,
     _check_max_k,
     _grow,
     _ilog,
     _is_prime,
-    _le_scaled,
     _oracle_min_pair,
     _pow,
     _walk,
@@ -160,6 +161,21 @@ def while_factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     return Factorization.from_mapping(found)
 
 
+def le_scaled(s: int, k: int, t: int, p: int) -> bool:
+    """Exact s * p**k <= t for s >= 1 and any integer k; t >= 1, or t = 0 when k >= 0.
+
+    The power is only materialized when it fits inside the smaller operand,
+    so comparisons stay cheap even for exponents in the millions.
+    """
+    if k >= 0:
+        if k > _ilog(t, p):
+            return False
+        return s * p**k <= t
+    if -k > _ilog(s, p):
+        return True
+    return s <= t * p ** (-k)
+
+
 def binary_search_ilog(x: int, p: int) -> int:
     """Largest a >= 0 with p**a <= x, for x >= 1. Exact binary search."""
     if p == 2:
@@ -180,12 +196,12 @@ def binary_search_boundary_exponent(s: int, c: int, p: int, e_big: int) -> int:
     That inequality says s * p**a is at most its complementary divisor, i.e.
     at most the square root of the whole number.
     """
-    if not _le_scaled(s, -e_big, c, p):
+    if not le_scaled(s, -e_big, c, p):
         return -1
     lo, hi = 0, e_big
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _le_scaled(s, 2 * mid - e_big, c, p):
+        if le_scaled(s, 2 * mid - e_big, c, p):
             lo = mid
         else:
             hi = mid - 1
@@ -206,7 +222,7 @@ def merged_small_side(p: int, e_big: int, chains: list[tuple[int, int]]):
         for i in range(1, len(active)):
             a_i, s_i, _ = active[i]
             a_b, s_b, _ = active[best]
-            if not _le_scaled(s_i, a_i - a_b, s_b, p):
+            if not le_scaled(s_i, a_i - a_b, s_b, p):
                 best = i
         a, s, c = active[best]
         yield s, a, c
@@ -234,7 +250,7 @@ def merged_min_gap_step(
         inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
         shared = min(a, e_big - a)
         # inner is 0 only at an exact square root, where no threshold is met
-        if threshold is None or (inner and not _le_scaled(inner, shared, threshold, p)):
+        if threshold is None or (inner and not le_scaled(inner, shared, threshold, p)):
             return p, e_big, s, a, c, inner
     raise NoQualifyingPair(
         f"no divisor pair of the factored input has difference above {brief(threshold)}"
@@ -258,15 +274,15 @@ def stepping_min_gap_step(
     # largest of those over all chains has the minimal gap.
     best = None
     for s, c in chains:
-        a = _boundary_exponent(s, c, p, e_big)
+        a = binary_search_boundary_exponent(s, c, p, e_big)
         while a >= 0:
             k = e_big - 2 * a
             inner = c * _pow(p, k) - s if k >= 0 else c - s * _pow(p, -k)
             # inner is 0 only at an exact square root, where no threshold is met
             if threshold is None or (
-                inner and not _le_scaled(inner, min(a, e_big - a), threshold, p)
+                inner and not le_scaled(inner, min(a, e_big - a), threshold, p)
             ):
-                if best is None or not _le_scaled(s, a - best[1], best[0], p):
+                if best is None or not le_scaled(s, a - best[1], best[0], p):
                     best = s, a, c, inner
                 break
             a -= 1
@@ -746,13 +762,27 @@ def test_factored_route_empty_factorization():
 WALK_PRIMES = (2, 3, 5, 7, 11)
 
 
+def walk_boundary(s: int, c: int, p: int, e_big: int) -> int:
+    """The exponent _walk starts the chain (s, c) from, or -1 when it has none.
+
+    At no threshold the walk's pair on that one chain is its start. When
+    s > c * p**E the chain has no divisor on the small side, and the walk
+    finds no pair on it at any threshold.
+    """
+    if not le_scaled(s, -e_big, c, p):
+        with pytest.raises(NoQualifyingPair):
+            _walk((p, e_big, [(s, c)]), 0)
+        return -1
+    return _walk((p, e_big, [(s, c)]), None)[3]
+
+
 def test_boundary_exponent_matches_the_binary_search_exhaustively():
     for p in (2, 3, 5):
         for e_big in range(10):
             for s in range(1, 41):
                 for c in range(1, 41):
                     want = binary_search_boundary_exponent(s, c, p, e_big)
-                    assert _boundary_exponent(s, c, p, e_big) == want, (s, c, p, e_big)
+                    assert walk_boundary(s, c, p, e_big) == want, (s, c, p, e_big)
 
 
 @settings(max_examples=500, deadline=None)
@@ -763,7 +793,7 @@ def test_boundary_exponent_matches_the_binary_search_exhaustively():
     st.one_of(st.integers(0, 60), st.integers(0, 10**300)),
 )
 def test_boundary_exponent_matches_the_binary_search(s, c, p, e_big):
-    assert _boundary_exponent(s, c, p, e_big) == binary_search_boundary_exponent(s, c, p, e_big)
+    assert walk_boundary(s, c, p, e_big) == binary_search_boundary_exponent(s, c, p, e_big)
 
 
 ILOG_PRIMES = (2, 3, 5, 7, 11, 13, 97, 65537, 999983)
@@ -994,6 +1024,31 @@ def test_divisor_count_law_report():
     assert len(rep.records) == 1000
     assert rep.records[0].index == 1
     assert rep.records[29].expected == 62
+
+
+@pytest.mark.parametrize("max_k", [1, 7, 30, 31])
+def test_divisor_count_law_enumerates_once_and_compares_lists(monkeypatch, max_k):
+    # trial division runs once, on 3 * 2**min(max_k, BRUTE_UP_TO); the list
+    # each k derives from it must be divisor_list(3 << k), divisor by divisor
+    real = divisors.divisor_list
+    truth = {k: real(3 << k) for k in range(1, min(max_k, BRUTE_UP_TO) + 1)}
+    enumerated, compared = [], []
+    monkeypatch.setattr(divisors, "divisor_list", lambda m: enumerated.append(m) or real(m))
+
+    def factored(f, **kwargs):
+        k = dict(f.pairs)[2]
+        compared.append(k)
+        return truth[k]
+
+    monkeypatch.setattr(divisors, "divisor_list_factored", factored)
+    rep = check_divisor_count_law(max_k)
+    assert enumerated == [3 << min(max_k, BRUTE_UP_TO)]
+    assert compared == list(truth)
+    assert rep.all_passed and len(rep.records) == max_k
+    # a list of the right length with one wrong divisor fails its k alone
+    k = min(max_k, 5)
+    truth[k] = truth[k][:-1] + [truth[k][-1] + 1]
+    assert check_divisor_count_law(max_k).failures == (CheckRecord(k, False, 2 * k + 2, 2 * k + 2),)
 
 
 def test_middle_pair_law_report_carries_the_exponent_note():

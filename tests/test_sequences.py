@@ -396,6 +396,25 @@ def test_verify_theorem_stays_small_in_memory():
     assert peak < 8 * 2**20
 
 
+def test_the_theorem_stream_folds_in_small_memory():
+    # verify_theorem keeps every record, each holding b(n), so its peak grows
+    # as n**2 bits: 33 MiB at n = 2 * 10**4. A fold that keeps only the
+    # failures and a count holds the stream's running sums, whose largest,
+    # the exponent of 2 in the product, has about 11,700 bits there
+    tracemalloc.start()
+    try:
+        count, failures = 0, []
+        for record in sequences._theorem_records(2 * 10**4, "factored", ORACLE_BOUND):
+            count += 1
+            if not record.passed:
+                failures.append(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 19998 and failures == []
+    assert peak < 2**20
+
+
 def test_verify_theorem_rejects_bad_range():
     with pytest.raises(ValueError):
         verify_theorem(2, "factored")

@@ -185,6 +185,10 @@ def commands() -> list[list[str]]:
                  ["delta", "48", "--above", "1" + "0" * 299999],
                  ["seq", "a", "--max", "10000000000000000000"]):
         out += [argv, argv + ["--json"]]
+    # text that is no integer, past the digit ceiling and below it: a usage
+    # error that names the text by its length
+    for m in ("x" * 5000, "x" * 4000):
+        out += [["delta", m], ["delta", m, "--json"]]
     return out
 
 
