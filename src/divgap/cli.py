@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain
 from math import floor
 
 # Building the parser loads nothing of the library but errors.py, which holds
@@ -583,6 +584,94 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_forms() -> dict:
+    """Per subcommand, what reading a plain command line needs, from build_parser()'s actions.
+
+    Each entry is (defaults, options, positionals, required, exclusive):
+    every destination with its default, in the order argparse's Namespace
+    holds them, the actions by option string, the positional actions, the
+    required options, and the mutually exclusive groups. A subcommand with
+    an action other than --help, a flag that stores True and one that
+    stores one value is left out, and argparse reads all of its command
+    lines. Built on the first run(), not with the parser, so setting up
+    costs nothing more.
+    """
+    parser = build_parser()
+    (chooser,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    forms = {}
+    for name, sub in chooser.choices.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        if not all(isinstance(a, argparse._StoreTrueAction)
+                   or isinstance(a, argparse._StoreAction) and a.nargs is None
+                   for a in actions):
+            continue
+        # argparse sets the subcommand on the parent's Namespace, then copies
+        # in the subparser's: the first default of each destination, then
+        # those of set_defaults
+        defaults = {}
+        for dest, default in [*((a.dest, a.default) for a in actions), *sub._defaults.items()]:
+            defaults.setdefault(dest, default)
+        forms[name] = ({chooser.dest: name, **defaults},
+                       {s: a for a in actions for s in a.option_strings},
+                       tuple(a for a in actions if not a.option_strings),
+                       tuple(a for a in actions if a.option_strings and a.required),
+                       tuple(g._group_actions for g in sub._mutually_exclusive_groups))
+    return forms
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The Namespace parser.parse_args(argv) builds, when argv has the plain form; else None.
+
+    The plain form is an exact subcommand name, then exact option strings,
+    each at most once, an option's value as the next token, and as many
+    positional values as the subcommand has, anywhere among the options;
+    no value may start with "-". Values go through the action's own type
+    and choices. Whatever is not of that form, or a value the type or
+    choices refuse, returns None, and argparse reads argv instead: its
+    usage reports, --help and abbreviations stay its own.
+    """
+    form = _plain_forms().get(argv[0]) if argv else None
+    if form is None:
+        return None
+    defaults, options, positionals, required, exclusive = form
+    values = dict(defaults)
+    seen = set()
+    free = []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                free.append(token)
+                continue
+            action = options.get(token)
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            # a value missing at the end reads as "-", which argparse must report
+            values[action.dest] = (action.const if action.nargs == 0
+                                   else _plain_value(action, next(tokens, "-")))
+        if len(free) != len(positionals):
+            return None
+        for action, text in zip(positionals, free):
+            values[action.dest] = _plain_value(action, text)
+    except (ValueError, TypeError, argparse.ArgumentTypeError, DivgapError):
+        return None
+    if not seen.issuperset(required) or any(len(seen.intersection(g)) > 1 for g in exclusive):
+        return None
+    return argparse.Namespace(**values)
+
+
+def _plain_value(action, text: str):
+    """text as argparse reads an action's value, or ValueError where argparse must read it."""
+    if text[:1] == "-":
+        raise ValueError("an option, or a value argparse reads in its own way")
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("not a choice")
+    return value
+
+
 def _fail(exc: Exception, argv: list[str], args=None) -> int:
     """Report a failed run on stderr, and under --json as an envelope; return its exit code.
 
@@ -620,7 +709,9 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _read_plain(argv)
+        if args is None:
+            args = parser.parse_args(argv)
     except SystemExit:
         return EXIT_OK  # --help, printed in full
     except DivgapError as exc:
@@ -634,8 +725,10 @@ def run(argv=None) -> int:
     if args.json:
         _print_json(_envelope(args, result, "ok" if ok else "finding"))
     else:
-        for line in lines:
-            print(line)
+        # one call for every line, where print makes one per line; each line
+        # is written as it stands and not copied onto its newline, since a
+        # seq --bfile line can run to hundreds of kilobytes
+        sys.stdout.writelines(chain.from_iterable((line, "\n") for line in lines))
     return EXIT_OK if ok else EXIT_FINDING
 
 

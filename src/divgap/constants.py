@@ -144,30 +144,6 @@ def _growth_interval(n: int, b: int, lo_offset: int, hi_offset: int) -> Rational
                             Fraction(((2 * b + 1) << (n - 1)) - hi_offset, den))
 
 
-def _intersect_growth_constraints(terms: Iterable[int]) -> RationalInterval:
-    """The growth constraints of any term list b_1, b_2, ..., folded.
-
-    Feeds the fold t_n = 3b_(n-1) - 2b_n from the terms, read once, in
-    order, and not kept; an empty intersection names its index and term.
-    """
-    terms = iter(terms)
-    b = next(terms)
-
-    def steps():
-        nonlocal b
-        for term in terms:
-            t, b = 3 * b - 2 * term, term
-            yield t
-
-    try:
-        n, lo_offset, hi_offset = _fold_growth_constraints(steps())
-    except EmptyIntersection as exc:
-        raise EmptyIntersection(
-            f"constraint {exc.index} (term {b}) empties the intersection", index=exc.index
-        ) from None
-    return _growth_interval(n, b, lo_offset, hi_offset)
-
-
 def c_enclosure(n_terms: int) -> RationalInterval:
     """Enclosure of the growth constant from the first n_terms recurrence terms.
 

@@ -93,3 +93,24 @@ def test_setup_writes_its_own_section_and_keeps_the_others(tmp_path, monkeypatch
 
 def test_one_setup_spawn_times_the_child_of_that_tree():
     assert 0 < bench_pair._setup_spawn(ROOT) < 30
+
+
+def test_cli_sweep_times_run_per_command_line_with_its_output_captured(tmp_path, monkeypatch):
+    # two rounds of three calls keep it quick; each child prints its JSON
+    # on the stdout the command lines also write to, so the redirection is
+    # what lets it parse
+    monkeypatch.setattr(bench_pair, "SWEEP_ROUNDS", 2)
+    monkeypatch.setattr(bench_pair, "CLI_CALLS", 3)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pair.main(["cli", "--parent", str(ROOT), "--change", str(ROOT),
+                            "--argv", "lemma 1", "--argv", "delta 48 --above '1'",
+                            "--argv", "delta x", "--out", str(out)]) == 0
+    section = json.loads(out.read_text())["cli"]
+    assert section["function"] == "divgap.cli.run"
+    assert (section["rounds"], section["calls_per_round"]) == (2, 3)
+    assert [p["args"] for p in section["points"]] == [
+        {"argv": ["lemma", "1"]}, {"argv": ["delta", "48", "--above", "1"]},
+        {"argv": ["delta", "x"]}]
+    for point in section["points"]:
+        for side in bench_pair.SIDES:
+            assert 0 < point[side]["median_s"] < 1

@@ -8,6 +8,7 @@ itself: the entry point must give the same bytes as cli.run, and two fresh
 interpreters must agree with each other.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,10 +18,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from cli_run import fresh_interpreter, run_cli
 
 import divgap
+from divgap import cli
 from divgap.cli import ECHO_CHARS, build_parser
 from divgap.errors import ARGUMENT_DIGITS, ResourceLimit
 
@@ -472,6 +476,165 @@ def test_help_under_json_writes_no_envelope():
     assert proc.stdout.startswith("usage: divgap constants")
     assert "--terms" in proc.stdout
     assert proc.stderr == ""
+
+
+# --- reading argv: the plain-form table ---
+
+
+def table_reads_as_argparse(argv) -> bool:
+    """Whether cli reads argv through its table; if so, argparse gives the same Namespace.
+
+    Items and their order are compared, since the --json envelope echoes
+    the parameters in vars() order, and argparse must parse argv without
+    error.
+    """
+    ns = cli._read_plain(argv)
+    if ns is not None:
+        assert list(vars(ns).items()) == list(vars(build_parser().parse_args(argv)).items())
+    return ns is not None
+
+
+SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
+LONG_TEXT = "1" * (ARGUMENT_DIGITS + 1)
+VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=10**12).map(str),
+    st.sampled_from(["a", "b", "c", "1", "2", "3", "k3", "relation", "factored", "oracle",
+                     "all", "ow", "", "x", "1_000", " 7 ", "+3", "0x10", "-1", "-1_000",
+                     "-x", "--", LONG_TEXT, "-" + LONG_TEXT, "x" * (ARGUMENT_DIGITS + 1)]))
+OTHER_TOKENS = ["--json", "--bfile", "--", "-h", "--help", "--nope", "-x", "sequence", "se"]
+
+
+def accepted_value(action):
+    """A value the action's type and choices mostly accept."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    return st.integers(min_value=0, max_value=10**12).map(str)
+
+
+@st.composite
+def command_lines(draw):
+    """argv from the CLI's grammar: a plain form, then a few ways of leaving it.
+
+    The plain form has every positional and required option, some of the
+    other options, each once, in any order; each edit then inserts,
+    replaces or drops a token, abbreviates an option, joins its value with
+    "=" or repeats it.
+    """
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    items = []
+    for action in SUBPARSERS[name]._actions:
+        if action.option_strings == ["-h", "--help"]:
+            continue
+        if action.option_strings and not action.required and draw(st.booleans()):
+            continue
+        value = [] if action.nargs == 0 else [draw(accepted_value(action))]
+        items.append(action.option_strings[-1:] + value)
+    argv = [name, *(token for item in draw(st.permutations(items)) for token in item)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        edit = draw(st.sampled_from(["insert", "replace", "drop", "abbreviate", "join",
+                                     "repeat"]))
+        options = [i for i, token in enumerate(argv) if token.startswith("--")]
+        if edit in ("abbreviate", "join", "repeat") and options:
+            i = draw(st.sampled_from(options))
+            option = argv[i]
+            if edit == "abbreviate":
+                argv[i] = option[:draw(st.integers(min_value=2, max_value=len(option)))]
+            elif edit == "join":
+                argv[i:i + 2] = [f"{option}={draw(VALUES)}"]
+            else:
+                argv[i:i] = [option, draw(VALUES)]
+            continue
+        i = draw(st.integers(min_value=0, max_value=len(argv)))
+        if edit == "drop" and i < len(argv):
+            del argv[i]
+        elif edit == "replace" and i < len(argv):
+            argv[i] = draw(st.one_of(VALUES, st.sampled_from(OTHER_TOKENS)))
+        else:
+            argv.insert(i, draw(st.one_of(VALUES, st.sampled_from(OTHER_TOKENS))))
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+@example(["seq", "a", "--max", "7", "--json", "--bfile"])
+@example(["seq", "a", "--max", "7", "--max", "8"])
+@example(["seq", "--max", "7", "a"])
+@example(["seq", "a", "b", "--max", "7"])
+@example(["seq", "a", "--max", "-1"])
+@example(["seq", "a", "--max", ""])
+@example(["seq", "a", "--max"])
+@example(["seq", "a", "--ma", "7"])
+@example(["seq", "a", "--max=7"])
+@example(["seq", "a", "--", "--max", "7"])
+@example(["delta", "--above", "5", "48"])
+@example(["delta", "48", "--above", LONG_TEXT])
+@example(["delta", "48", "--above", "-1_000"])
+@example(["divisors", "--count-only", "48"])
+@example(["theorem", "--max", "7", "--path", "trial"])
+@example(["theorem", "--path", "oracle"])
+@example(["lemma", "3"])
+@example(["josephus", "--n", "10", "--q", "2", "-h"])
+@example(["reproduce", "extra"])
+@example(["sequence", "a", "--max", "7"])
+@example([])
+def test_the_table_reads_every_command_line_as_argparse_does(argv):
+    event("table" if table_reads_as_argparse(argv) else "argparse")
+
+
+def test_the_table_reads_the_corpus_as_argparse_does():
+    spec = importlib.util.spec_from_file_location(
+        "cli_corpus", Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    argvs = corpus.commands()
+    taken = sum(map(table_reads_as_argparse, argvs))
+    # the corpus mostly holds plain forms; its usage errors, --help and
+    # refused values are what argparse reads
+    assert 400 <= taken < len(argvs)
+
+
+def completed(proc):
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+BENCHMARK_SHAPED = [
+    ("seq", "a", "--max", "7"),
+    ("seq", "b", "--max", "7", "--json"),
+    ("seq", "a", "--max", "36", "--path", "factored", "--bfile"),
+    ("seq", "a", "--max", "51", "--json"),
+    ("delta", "1234567", "--above", "5"),
+    ("delta", "1234567", "--oracle-bound", "1000", "--json"),
+    ("divisors", "1234567", "--count-only", "--json"),
+    ("divisors", "1234567"),
+    ("theorem", "--max", "50"),
+    ("theorem", "--max", "50", "--json"),
+    ("lemma", "1"),
+    ("lemma", "2"),
+    ("josephus", "--n", "1000", "--q", "3", "--algo", "all"),
+    ("josephus", "--n", "123456789012", "--q", "5", "--algo", "ow", "--json"),
+    ("constants", "k3", "--terms", "1000"),
+    ("constants", "c", "--terms", "1000", "--json"),
+    ("verify", "relation", "--terms", "1000"),
+    ("reproduce", "--fast-only"),
+]
+
+
+def test_benchmark_shaped_command_lines_take_the_table(monkeypatch):
+    assert {argv[0] for argv in BENCHMARK_SHAPED} == set(SUBPARSERS)
+    for argv in BENCHMARK_SHAPED:
+        assert table_reads_as_argparse(list(argv)), argv
+    # argparse's bytes, with the table out of the way
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_read_plain", lambda argv: None)
+        expected = {argv: completed(run_cli(*argv)) for argv in BENCHMARK_SHAPED}
+
+    # run() gives the same bytes with argparse out of the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a plain command line")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    for argv in BENCHMARK_SHAPED:
+        assert completed(run_cli(*argv)) == expected[argv]
 
 
 def test_exit_resource_on_oracle_bound():

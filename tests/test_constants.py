@@ -7,7 +7,8 @@ The bisection renderer below searches the certified depth two truncations
 per probe, the reference for the library's one-truncation renderer;
 ow_sequence steps the K3 iteration one term at a time, the reference for
 the library's eight-step jumps; the integer-numerator fold below is the
-reference for the library's fold of two small offsets, and the term-fed
+reference for the library's fold of two small offsets, which
+_intersect_growth_constraints below feeds from any term list, and the term-fed
 offset fold below, kept as it stood before the fold read parities, is the
 reference for c_enclosure, which builds no term.
 """
@@ -29,7 +30,8 @@ from divgap.constants import (
     _JUMP8,
     DEFAULT_TERMS,
     K3_SCALE,
-    _intersect_growth_constraints,
+    _fold_growth_constraints,
+    _growth_interval,
     _iterate_q3,
     _jump_table,
     c_enclosure,
@@ -302,6 +304,32 @@ def test_c_enclosure_more_terms_certify_more_digits():
 def test_c_enclosure_validates():
     with pytest.raises(ValueError):
         c_enclosure(0)
+
+
+def _intersect_growth_constraints(terms) -> RationalInterval:
+    """The growth constraints of any term list b_1, b_2, ..., through the library's fold.
+
+    Feeds the fold t_n = 3b_(n-1) - 2b_n from the terms, read once, in
+    order, and not kept; an empty intersection names its index and term.
+    c_enclosure feeds the same fold from parities alone, and the references
+    below hold the fold to the constraints of arbitrary terms through this.
+    """
+    terms = iter(terms)
+    b = next(terms)
+
+    def steps():
+        nonlocal b
+        for term in terms:
+            t, b = 3 * b - 2 * term, term
+            yield t
+
+    try:
+        n, lo_offset, hi_offset = _fold_growth_constraints(steps())
+    except EmptyIntersection as exc:
+        raise EmptyIntersection(
+            f"constraint {exc.index} (term {b}) empties the intersection", index=exc.index
+        ) from None
+    return _growth_interval(n, b, lo_offset, hi_offset)
 
 
 def test_c_enclosure_reports_first_violation():

@@ -13,6 +13,8 @@ Usage, from the repository root:
         --function divgap.intervals.render_digits --grid max_places=1000,10000 \\
         --build iv=divgap.constants.k3_enclosure:max_places --out BENCH_7.json
     python3 tools/bench_pair.py setup --parent DIR --change DIR --out BENCH_20.json
+    python3 tools/bench_pair.py cli --parent DIR --change DIR \\
+        --argv "theorem --max 50" --argv "theorem --max 50 --json" --out BENCH_26.json
 
 DIR is a checkout of the tree to measure (for example a `git archive` of
 one commit). `pairs` runs `divbench/run.py --trace 0` once per seed on each
@@ -20,11 +22,18 @@ tree for the `run_seconds` that BENCHMARK.json sets, alternating which tree
 runs first, and records every run's end-to-end metrics with each side's
 median, quartiles and the change's win count. `sweep` times one library
 function of each tree in fresh interpreters over a grid of keyword
-arguments, SWEEP_ROUNDS rounds of SWEEP_CALLS timed calls per point,
-alternating trees round by round, and records median seconds and the
-tracemalloc peak per grid point. `--build NAME=MAKER:KEY` passes the
+arguments, SWEEP_ROUNDS rounds of SWEEP_CALLS timed calls per point, one
+interpreter per point and tree, alternating which tree goes first point by
+point so that both sides of a point run close together on a host whose
+speed drifts, and records median seconds and the tracemalloc peak per grid
+point. `--build NAME=MAKER:KEY` passes the
 function a keyword NAME made, untimed, by the tree's own MAKER from the
-point's KEY value, for functions whose arguments are not integers. `setup`
+point's KEY value, for functions whose arguments are not integers. `cli`
+is that sweep of `divgap.cli.run(argv)`, one point per `--argv` command line
+(split as a shell would), CLI_CALLS timed calls per point per round, kept
+in the file's `cli` section. Every sweep call writes to its own StringIO
+for stdout and stderr, as divbench's `run_job` does, and is timed with the
+redirection. `setup`
 spawns each tree's `divbench/child.py --setup-only` SETUP_SPAWNS times,
 alternating trees spawn by spawn, and times each from spawn to the "ready"
 moment the child prints, as divbench's `measure_setup` does but unscaled and
@@ -43,6 +52,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -53,33 +63,34 @@ SIDES = ("parent", "change")
 RUN_GRACE_S = 600
 SWEEP_ROUNDS = 5  # fresh interpreters per tree, alternating which goes first
 SWEEP_CALLS = 5  # timed calls per grid point per round
+CLI_CALLS = 51  # timed calls per command line per round: most take well under a millisecond
 SETUP_SPAWNS = 60  # set-up children per tree, alternating which goes first
 
 # Runs in a fresh interpreter with the tree's src/ first on sys.path; argv is
-# the function's dotted name, the JSON list of keyword dicts, the number of
-# timed calls per point, and the JSON map of built keywords to [maker, key].
+# the function's dotted name, the JSON keyword dict of one point, the number
+# of timed calls, and the JSON map of built keywords to [maker, key].
 SWEEP_CHILD = r"""
-import importlib, json, sys, time, tracemalloc
+import importlib, io, json, sys, time, tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 def resolve(dotted):
     module, name = dotted.rsplit(".", 1)
     return getattr(importlib.import_module(module), name)
 fn = resolve(sys.argv[1])
-points, calls, builds = json.loads(sys.argv[2]), int(sys.argv[3]), json.loads(sys.argv[4])
-out = []
-for point in points:
-    kwargs = {**point, **{arg: resolve(maker)(point[key]) for arg, (maker, key) in builds.items()}}
-    fn(**kwargs)
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
+point, calls, builds = json.loads(sys.argv[2]), int(sys.argv[3]), json.loads(sys.argv[4])
+kwargs = {**point, **{arg: resolve(maker)(point[key]) for arg, (maker, key) in builds.items()}}
+def call():
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
         fn(**kwargs)
-        times.append(time.perf_counter() - t0)
-    tracemalloc.start()
-    fn(**kwargs)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    out.append({"median_s": sorted(times)[len(times) // 2], "tracemalloc_peak_b": peak})
-print(json.dumps(out))
+    return time.perf_counter() - t0
+call()
+times = sorted(call() for _ in range(calls))
+tracemalloc.start()
+call()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"median_s": times[len(times) // 2], "tracemalloc_peak_b": peak}))
 """
 
 
@@ -172,35 +183,45 @@ def _builds(specs: list[str]) -> dict[str, list[str]]:
 
 
 def cmd_sweep(args, trees: dict[str, Path]) -> dict:
-    points = _grid(args.grid)
-    builds = _builds(args.build)
-    rounds = {side: [] for side in SIDES}
+    return _sweep(trees, args.function, _grid(args.grid), SWEEP_CALLS, _builds(args.build))
+
+
+def cmd_cli(args, trees: dict[str, Path]) -> dict:
+    return _sweep(trees, "divgap.cli.run", [{"argv": shlex.split(a)} for a in args.argv],
+                  CLI_CALLS, {})
+
+
+def _sweep(trees: dict[str, Path], function: str, points: list[dict], calls: int,
+           builds: dict[str, list[str]]) -> dict:
+    # samples[side][i] holds point i's result from each round
+    samples = {side: [[] for _ in points] for side in SIDES}
     for r in range(SWEEP_ROUNDS):
-        for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-            proc = subprocess.run(
-                [sys.executable, "-c", SWEEP_CHILD, args.function, json.dumps(points),
-                 str(SWEEP_CALLS), json.dumps(builds)],
-                env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
-                capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
-            rounds[side].append(json.loads(proc.stdout))
+        for i, point in enumerate(points):
+            for side in (SIDES if (r + i) % 2 == 0 else SIDES[::-1]):
+                proc = subprocess.run(
+                    [sys.executable, "-c", SWEEP_CHILD, function, json.dumps(point),
+                     str(calls), json.dumps(builds)],
+                    env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
+                    capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
+                samples[side][i].append(json.loads(proc.stdout))
     rows = []
     for i, kwargs in enumerate(points):
         row = {"args": kwargs}
         for side in SIDES:
             row[side] = {
-                "median_s": statistics.median(rnd[i]["median_s"] for rnd in rounds[side]),
-                "tracemalloc_peak_mb": rounds[side][0][i]["tracemalloc_peak_b"] / 2**20,
+                "median_s": statistics.median(s["median_s"] for s in samples[side][i]),
+                "tracemalloc_peak_mb": samples[side][i][0]["tracemalloc_peak_b"] / 2**20,
             }
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
         rows.append(row)
-    return {"function": args.function, "built": builds, "rounds": SWEEP_ROUNDS,
-            "calls_per_round": SWEEP_CALLS, "points": rows}
+    return {"function": function, "built": builds, "rounds": SWEEP_ROUNDS,
+            "calls_per_round": calls, "points": rows}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("pairs", "sweep", "setup"):
+    for name in ("pairs", "sweep", "setup", "cli"):
         p = sub.add_parser(name)
         p.add_argument("--parent", type=Path, required=True)
         p.add_argument("--change", type=Path, required=True)
@@ -213,6 +234,9 @@ def main(argv=None) -> int:
     p.add_argument("--grid", action="append", required=True, help="name=v1,v2,... (ints)")
     p.add_argument("--build", action="append", default=[],
                    help="NAME=MAKER:KEY, keyword NAME = MAKER(value of KEY), untimed")
+    p = sub.choices["cli"]
+    p.add_argument("--argv", action="append", required=True,
+                   help="one command line for divgap.cli.run, e.g. \"theorem --max 50\"")
     args = ap.parse_args(argv)
 
     if args.command == "pairs" and len(args.seeds) < 2:
@@ -226,13 +250,13 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "divbench" / "run.py").is_file():
             ap.error(f"--{side} {tree} has no divbench/run.py")
-    commands = {"pairs": cmd_pairs, "sweep": cmd_sweep, "setup": cmd_setup}
+    commands = {"pairs": cmd_pairs, "sweep": cmd_sweep, "setup": cmd_setup, "cli": cmd_cli}
     section = commands[args.command](args, trees)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = json.loads((trees["change"] / "divbench" / "machine.json").read_text())
-    if args.command == "setup":
-        doc["setup"] = section
+    if args.command in ("setup", "cli"):
+        doc[args.command] = section
     else:
         key = args.workload if args.command == "pairs" else " ".join([args.function, *args.build])
         doc.setdefault(args.command, {})[key] = section
