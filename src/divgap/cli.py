@@ -21,6 +21,7 @@ from .errors import (
     ARGUMENT_DIGITS,
     DEFAULT_TERMS,
     DIVISOR_CAP,
+    ECHO_BITS,
     EXIT_FINDING,
     EXIT_OK,
     EXIT_USAGE,
@@ -156,27 +157,33 @@ def _cmd_divisors(args) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_theorem(args) -> tuple[dict, list[str], bool]:
-    from .sequences import verify_theorem
+    from .sequences import _theorem_records, verify_theorem
 
-    rep = verify_theorem(args.max, args.path, oracle_bound=args.oracle_bound)
-    failures = rep.failures
+    # --json prints only a count and the failures, so it folds the record
+    # stream and keeps no other record: O(max)-bit memory, not O(max^2)
+    records = (_theorem_records(args.max, args.path, args.oracle_bound) if args.json
+               else verify_theorem(args.max, args.path, oracle_bound=args.oracle_bound).records)
+    checked, failures = 0, []
+    for r in records:
+        checked += 1
+        if not r.passed:
+            failures.append(r)
     result = {
         "max": args.max,
         "path": args.path,
-        "checked": len(rep.records),
+        "checked": checked,
         "all_passed": not failures,
         "failures": [
             {"n": r.index, "expected_exponent": r.expected, "actual_exponent": r.actual}
             for r in failures
         ],
     }
-    # --json prints the result alone, so the lines are formatted only without it
     if args.json:
         return result, [], not failures
     from .intervals import decimal_str
 
     lines = []
-    for r in rep.records:
+    for r in records:
         expected = decimal_str(r.expected)
         # an exponent that matches is rendered once for both places
         actual = (expected if r.actual == r.expected
@@ -184,9 +191,9 @@ def _cmd_theorem(args) -> tuple[dict, list[str], bool]:
         lines.append(f"n={r.index} gap=2^{actual} expected=2^{expected} "
                      f"{'ok' if r.passed else 'MISMATCH'}")
     if failures:
-        lines.append(f"{len(failures)} of {len(rep.records)} checks FAILED")
+        lines.append(f"{len(failures)} of {checked} checks FAILED")
     else:
-        lines.append(f"all {len(rep.records)} checks pass (n=3..{args.max}, {args.path} path)")
+        lines.append(f"all {checked} checks pass (n=3..{args.max}, {args.path} path)")
     return result, lines, not failures
 
 
@@ -451,8 +458,8 @@ def _json_requested(argv: list[str]) -> bool:
 
 
 # Text longer than this is named by its length in a usage message, not
-# echoed: the digits of 2**256 - 1, the longest integer brief echoes
-ECHO_CHARS = 78
+# echoed: the digits of the longest integer brief echoes
+ECHO_CHARS = len(str((1 << ECHO_BITS) - 1))
 
 
 def _integer(flag: str, least: int | None = None):
@@ -701,9 +708,10 @@ def run(argv=None) -> int:
     # at most one of them; seq terms and certified digits render through
     # decimal_str. The guard is raised, and not lowered again on return, for
     # divbench's certify oracle alone, which renders digits with str() in
-    # the interpreter that ran the jobs and relies on it
+    # the interpreter that ran the jobs and relies on it; 0, no limit at
+    # all, is left as it is
     wanted = DIGIT_PRINT_LIMIT + 100
-    if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < wanted:
+    if 0 < sys.get_int_max_str_digits() < wanted:
         sys.set_int_max_str_digits(wanted)
     parser = build_parser()
     if argv is None:

@@ -76,11 +76,12 @@ class Factorization(CheckedRecord, namedtuple("Factorization", "pairs")):
         last = 1
         for p, e in pairs:
             if p <= last:
-                raise ValueError(f"primes must be strictly increasing, got {p} after {last}")
+                raise ValueError(
+                    f"primes must be strictly increasing, got {brief(p)} after {brief(last)}")
             if e < 1:
-                raise ValueError(f"exponent for prime {p} must be positive, got {e}")
+                raise ValueError(f"exponent for prime {brief(p)} must be positive, got {brief(e)}")
             if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{brief(p)} is not prime")
             last = p
         return tuple.__new__(cls, (pairs,))
 
@@ -113,7 +114,7 @@ class DivisorPair(CheckedRecord, namedtuple("DivisorPair", "small large")):
 
     def __new__(cls, small: int, large: int):
         if not 1 <= small <= large:
-            raise ValueError(f"need 1 <= small <= large, got ({small}, {large})")
+            raise ValueError(f"need 1 <= small <= large, got ({brief(small)}, {brief(large)})")
         return tuple.__new__(cls, (small, large))
 
     @property
@@ -146,7 +147,7 @@ def factorize(m: int, *, oracle_bound: int = ORACLE_BOUND,
     for p in hints:
         # 1 and -1 would divide out forever, 0 not at all
         if p < 2:
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"{brief(p)} is not prime")
         if rest % p == 0:
             rest, found[p] = _divide_out(rest, p)
     # a hint is the caller's claim, so each one that divided m is proven; the
@@ -204,7 +205,7 @@ def divisor_list_factored(f: Factorization, *, divisor_cap: int = DIVISOR_CAP) -
     count = _divisor_count(f.pairs)
     if count > divisor_cap:
         raise ResourceLimit(
-            f"divisor count {count} exceeds the cap {divisor_cap}; "
+            f"divisor count {brief(count)} exceeds the cap {brief(divisor_cap)}; "
             "raise it with --divisor-cap or use the gap operations, which do not materialize"
         )
     divs = _divisors_unsorted(f.pairs)
@@ -307,7 +308,7 @@ def _chain_split(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, list[tup
     count = _divisor_count(rest)
     if count > DIVISOR_CAP:
         raise ResourceLimit(
-            f"the part coprime to {p} has {count} divisors, above the cap "
+            f"the part coprime to {p} has {brief(count)} divisors, above the cap "
             f"{DIVISOR_CAP}; the walk builds one chain per divisor of that part"
         )
     small = _divisors_unsorted(rest)

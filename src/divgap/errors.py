@@ -39,8 +39,12 @@ EXIT_FINDING = 4
 ECHO_BITS = 256
 
 
-def brief(x: int) -> str:
-    """x in decimal for a message, or its sign and bit length when it is too long to echo."""
+def brief(x) -> str:
+    """An int or Fraction x as str() shows it in a message, with each integer
+    too long to echo named by its sign and bit length instead."""
+    if x.denominator != 1:
+        return f"{brief(x.numerator)}/{brief(x.denominator)}"
+    x = x.numerator
     if x.bit_length() <= ECHO_BITS:
         return str(x)
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"

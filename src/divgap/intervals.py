@@ -13,6 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import floor
 
+from .errors import brief
 from .report import CheckedRecord
 
 # Integers up to this many bits render through int.__str__, which is
@@ -59,7 +60,7 @@ class RationalInterval(CheckedRecord, namedtuple("RationalInterval", "lo hi")):
     def __new__(cls, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
-            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+            raise ValueError(f"empty interval: lo={brief(lo)} > hi={brief(hi)}")
         return tuple.__new__(cls, (lo, hi))
 
     @property
@@ -75,7 +76,7 @@ class RationalInterval(CheckedRecord, namedtuple("RationalInterval", "lo hi")):
     def scale(self, factor) -> RationalInterval:
         factor = Fraction(factor)
         if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+            raise ValueError(f"scale factor must be positive, got {brief(factor)}")
         return RationalInterval(self.lo * factor, self.hi * factor)
 
     def intersect(self, other: RationalInterval) -> RationalInterval | None:
@@ -112,7 +113,7 @@ def render_digits(iv: RationalInterval, max_places: int) -> DigitCertificate:
     shallower. Zero certified places is a valid result for wide intervals.
     """
     if max_places < 1:
-        raise ValueError(f"max_places must be at least 1, got {max_places}")
+        raise ValueError(f"max_places must be at least 1, got {brief(max_places)}")
     lo, hi = iv.lo, iv.hi
     if lo < 0:
         raise ValueError("render_digits requires a nonnegative interval")

@@ -36,7 +36,7 @@ class SurvivorResult(CheckedRecord, namedtuple("SurvivorResult", "n q survivor a
 
     def __new__(cls, n: int, q: int, survivor: int, algorithm: str):
         if not 1 <= survivor <= n:
-            raise ValueError(f"survivor {survivor} outside 1..{n}")
+            raise ValueError(f"survivor {brief(survivor)} outside 1..{brief(n)}")
         return tuple.__new__(cls, (n, q, survivor, algorithm))
 
 
@@ -162,11 +162,11 @@ def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP)
 def ow_sequence(q: int, seed: int, count: int) -> list[int]:
     """First count terms of x -> ceil(q*x / (q-1)) starting at seed."""
     if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+        raise ValueError(f"q must be at least 2, got {brief(q)}")
     if seed < 1:
-        raise ValueError(f"seed must be at least 1, got {seed}")
+        raise ValueError(f"seed must be at least 1, got {brief(seed)}")
     if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+        raise ValueError(f"count must be at least 1, got {brief(count)}")
     terms = [seed]
     x = seed
     for _ in range(count - 1):

@@ -184,14 +184,14 @@ def b_closed_form(n: int, c_enc: RationalInterval) -> int:
     enclosure is too wide to pin a single integer at this index.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {brief(n)}")
     r = Fraction(3, 2) ** n
     half = Fraction(1, 2)
     at_lo = ceil(c_enc.lo * r - half)
     at_hi = ceil(c_enc.hi * r - half)
     if at_lo != at_hi:
         raise InsufficientPrecision(
-            f"enclosure of width {c_enc.width} spans {at_hi - at_lo + 1} candidates "
+            f"enclosure of width {brief(c_enc.width)} spans {brief(at_hi - at_lo + 1)} candidates "
             f"at index {n}; tighten it with more terms"
         )
     return at_lo

@@ -19,8 +19,6 @@ from unittest.mock import patch
 
 from divgap import cli
 
-GUARDED = hasattr(sys, "get_int_max_str_digits")
-
 
 def run_cli(*args: str) -> CompletedProcess:
     """`divgap ARGS` through cli.run, as a CompletedProcess.
@@ -34,13 +32,12 @@ def run_cli(*args: str) -> CompletedProcess:
     """
     argv = list(args)
     out, err = io.StringIO(), io.StringIO()
-    guard = sys.get_int_max_str_digits() if GUARDED else None
+    guard = sys.get_int_max_str_digits()
     try:
         with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
             code = cli.run(argv)
     finally:
-        if GUARDED:
-            sys.set_int_max_str_digits(guard)
+        sys.set_int_max_str_digits(guard)
     return CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 

@@ -122,6 +122,11 @@ def test_theorem_prints_a_failed_record(monkeypatch, skew, line):
     assert lines[:2] == ["n=3 gap=2^1 expected=2^1 ok", "n=4 gap=2^2 expected=2^2 ok"]
     assert lines[2] == line
     assert lines[-1].endswith(" of 6 checks FAILED")
+    # --json folds the same records into a count and the failures
+    result = json.loads(run_cli("theorem", "--max", "8", "--json").stdout)["result"]
+    assert result["checked"] == "6" and result["all_passed"] is False
+    assert [f"n={f['n']}" for f in result["failures"]] == [
+        line.split()[0] for line in lines if line.endswith("MISMATCH")]
 
 
 def test_theorem_formats_no_lines_under_json():
@@ -129,6 +134,23 @@ def test_theorem_formats_no_lines_under_json():
     result, lines, ok = args.handler(args)
     assert lines == []
     assert ok and result["checked"] == 18 and result["failures"] == []
+
+
+def test_theorem_json_folds_the_record_stream_in_small_memory():
+    # the plain report keeps every record, each holding b(n): a peak near
+    # 33 MiB at n = 2 * 10**4. --json keeps only a count and the failures.
+    # A first run loads the modules, so the peak counts only the run
+    run_cli("theorem", "--max", "3", "--json")
+    tracemalloc.start()
+    try:
+        proc = run_cli("theorem", "--max", "20000", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert result["checked"] == "19998" and result["all_passed"] is True
 
 
 def test_seq_print_budget():
@@ -1136,8 +1158,18 @@ def test_entry_point_matches_run(args, code):
         ours.returncode, ours.stdout, ours.stderr)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this interpreter has no int-to-str guard")
+@pytest.mark.parametrize("start, after", [
+    ("0", 0), ("4300", cli.DIGIT_PRINT_LIMIT + 100), ("2000000", 2000000)])
+def test_run_only_ever_raises_the_guard(monkeypatch, start, after):
+    # PYTHONINTMAXSTRDIGITS=0 starts an interpreter with no limit at all,
+    # which raising the limit to a number would tighten
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", start)
+    assert fresh_interpreter(
+        "import io, json, sys; from contextlib import redirect_stdout; from divgap import cli\n"
+        "with redirect_stdout(io.StringIO()):\n    cli.run(['seq', 'a', '--max', '7'])\n"
+        "print(json.dumps(sys.get_int_max_str_digits()))") == after
+
+
 def test_run_cli_puts_the_guard_back():
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)

@@ -246,11 +246,9 @@ def test_render_digits_matches_the_reference_on_the_enclosures(n):
 
 
 def test_decimal_rendering_matches_str():
-    # str() of huge ints is guarded on interpreters that have the guard
-    guarded = hasattr(sys, "set_int_max_str_digits")
-    if guarded:
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    # str() of huge ints is guarded, so the guard is lifted for the comparison
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         for k in (SPLIT_BITS - 1, SPLIT_BITS, SPLIT_BITS + 1, 2 * SPLIT_BITS + 3):
             for x in (0, 1, 2**k - 1, 2**k, 2**k + 1, -(2**k) - 1):
@@ -265,8 +263,7 @@ def test_decimal_rendering_matches_str():
         d = decimal_str(x)
         assert d.isascii() and d.isdigit() and d[0] != "0" and int(d) == x
     finally:
-        if guarded:
-            sys.set_int_max_str_digits(old)
+        sys.set_int_max_str_digits(old)
 
 
 # --- the growth-constant enclosure ---
@@ -685,16 +682,13 @@ def test_relation_at_20000_terms():
 def test_relation_past_the_int_string_guard():
     # 30,000 terms certify more places than the interpreter's default guard
     # lets str() render; called as a library, outside the CLI that raises
-    # it, the digits must render all the same (3.10 has no guard)
-    guarded = hasattr(sys, "set_int_max_str_digits")
-    if guarded:
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
+    # it, the digits must render all the same
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
     try:
         rep = relation_check(30000)
     finally:
-        if guarded:
-            sys.set_int_max_str_digits(old)
+        sys.set_int_max_str_digits(old)
     assert rep.overlap
     assert rep.agreeing_places >= 5000
 

@@ -1,5 +1,7 @@
-"""The library's result records: immutable named tuples with constructor checks."""
+"""The library's result records: immutable named tuples with constructor checks,
+and the messages the library's checks raise."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,15 @@ from divgap import (
     RelationReport,
     SurvivorResult,
     VerificationReport,
+    b_closed_form,
+    c_enclosure,
+    delta_pair,
+    divisor_list_factored,
+    factorize,
+    ow_sequence,
+    render_digits,
 )
+from divgap.errors import DivgapError
 
 RECORDS = {
     "Factorization": lambda: Factorization(((2, 4), (3, 1))),
@@ -75,3 +85,51 @@ def test_interval_endpoints_are_fractions():
 
 def test_proven_factorization_equals_the_checked_one():
     assert Factorization._proven({3: 1, 2: 5}) == Factorization.from_mapping({2: 5, 3: 1})
+
+
+# 5,001 digits, past the 4,300 that CPython's default guard lets str() render
+HUGE = 10**5000
+SHOWN = f"<{HUGE.bit_length()}-bit integer>"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Factorization(((-HUGE, 1),)),
+     f"primes must be strictly increasing, got -{SHOWN} after 1"),
+    (lambda: Factorization(((2, -HUGE),)), f"exponent for prime 2 must be positive, got -{SHOWN}"),
+    (lambda: Factorization(((HUGE, 1),)), f"{SHOWN} is not prime"),
+    (lambda: DivisorPair(HUGE, 1), f"need 1 <= small <= large, got ({SHOWN}, 1)"),
+    (lambda: factorize(12, hints=(-HUGE,)), f"-{SHOWN} is not prime"),
+    (lambda: divisor_list_factored(Factorization(((2, HUGE),))),
+     f"divisor count {SHOWN} exceeds the cap 10000000; "
+     "raise it with --divisor-cap or use the gap operations, which do not materialize"),
+    (lambda: delta_pair(Factorization(((2, HUGE), (3, HUGE + 1)))),
+     f"the part coprime to 3 has {SHOWN} divisors, above the cap 10000000; "
+     "the walk builds one chain per divisor of that part"),
+    (lambda: RationalInterval(Fraction(HUGE, 3), 1), f"empty interval: lo={SHOWN}/3 > hi=1"),
+    (lambda: RationalInterval(0, 1).scale(Fraction(-1, HUGE)),
+     f"scale factor must be positive, got -1/{SHOWN}"),
+    (lambda: render_digits(RationalInterval(0, 1), -HUGE),
+     f"max_places must be at least 1, got -{SHOWN}"),
+    (lambda: SurvivorResult(5, 2, HUGE, "simulation"), f"survivor {SHOWN} outside 1..5"),
+    (lambda: ow_sequence(-HUGE, 1, 1), f"q must be at least 2, got -{SHOWN}"),
+    (lambda: ow_sequence(2, -HUGE, 1), f"seed must be at least 1, got -{SHOWN}"),
+    (lambda: ow_sequence(2, 1, -HUGE), f"count must be at least 1, got -{SHOWN}"),
+    (lambda: b_closed_form(-HUGE, c_enclosure(10)), f"n must be at least 1, got -{SHOWN}"),
+    (lambda: b_closed_form(1, RationalInterval(0, HUGE)),
+     f"enclosure of width {SHOWN} spans <{HUGE.bit_length() + 1}-bit integer> candidates "
+     "at index 1; tighten it with more terms"),
+], ids=["Factorization-order", "Factorization-exponent", "Factorization-prime", "DivisorPair",
+        "factorize-hint", "divisor_list_factored", "walk-split", "RationalInterval",
+        "RationalInterval.scale", "render_digits", "SurvivorResult", "ow_sequence-q",
+        "ow_sequence-seed", "ow_sequence-count", "b_closed_form-n", "b_closed_form-width"])
+def test_messages_name_an_integer_past_the_guard_by_its_size(make, message):
+    # under the guard a fresh interpreter has, a message that put such an
+    # integer through str() would raise the guard's own ValueError instead
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises((ValueError, DivgapError)) as caught:
+            make()
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(caught.value) == message
