@@ -103,9 +103,23 @@ def _cmd_seq(args) -> tuple[dict, list[str], bool]:
     from .intervals import LOG10_2_UPPER, decimal_str
     from .sequences import _a_prefix, _b_prefix
 
+    # --path and --oracle-bound are None when not given: seq a fills in
+    # their defaults in place, so its echo keeps their order, and seq b
+    # echoes neither and refuses either one given
     if args.which == "a":
+        if args.path is None:
+            args.path = "factored"
+        if args.oracle_bound is None:
+            args.oracle_bound = ORACLE_BOUND
         start, path, stream = 0, args.path, _a_prefix(args.max, args.path, args.oracle_bound)
     else:
+        options = (("path", "--path"), ("oracle_bound", "--oracle-bound"))
+        for dest, _ in options:
+            if getattr(args, dest) is None:
+                delattr(args, dest)
+        for dest, flag in options:
+            if hasattr(args, dest):
+                raise ValueError(f"{flag} applies only to seq a")
         start, path, stream = 1, "recurrence", _b_prefix(args.max)
     # refuse the first term beyond the print budget as the records arrive,
     # before any term past it is computed or any term is rendered;
@@ -528,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", parents=[common], help="list a sequence prefix")
     p.add_argument("which", choices=["a", "b"])
     p.add_argument("--max", type=_integer("--max"), required=True, help="last index to compute")
-    p.add_argument("--path", choices=list(A_PATHS), default="factored")
-    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=ORACLE_BOUND)
+    # None stands for not given; _cmd_seq fills in seq a's defaults
+    p.add_argument("--path", choices=list(A_PATHS), default=None)
+    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=None)
     p.add_argument("--digit-limit", type=_integer("--digit-limit", 1), default=DIGIT_PRINT_LIMIT,
                    help="largest decimal rendering to attempt per term")
     p.set_defaults(handler=_cmd_seq)

@@ -117,15 +117,20 @@ def _labels(n: int) -> array:
 def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP) -> SurvivorResult:
     """Eliminate the explicit circle until one person remains.
 
-    The circle is one flat C array of the labels 0..n-1 (person i + 1 is
-    label i), built by _labels, so no int object is made per person. Labels
-    are 32 bits wide, so n above 2**32 is refused whatever the cap.
+    The first lap depends on n and q alone: once divmod(q - 1, n) has
+    skipped the laps in which nobody reaches the count, it removes the
+    people at positions lap1, lap1 + q, ... (person i + 1 at position i),
+    so it is counted, not carried out. The circle starts as it stands after
+    that lap: one flat C array of the labels 0..size-1, built by _labels,
+    label j for the j-th person left, so no int object is made per person.
+    Labels are 32 bits wide, so n above 2**32 is refused whatever the cap.
 
-    One lap around the circle removes every q-th survivor in a single slice
-    deletion; the carry tracks counts that spill into the next lap. When q
-    exceeds the circle, the laps in which nobody reaches the count are
-    skipped by one divmod. This is the same elimination order as removing
-    people one at a time, just processed lap by lap.
+    Each further lap around the circle removes every q-th survivor in a
+    single slice deletion; the carry tracks counts that spill into the next
+    lap, and laps in which nobody reaches the count are skipped by one
+    divmod. This is the same elimination order as removing people one at a
+    time, just processed lap by lap. The last label is mapped back through
+    the first lap to its person.
 
     A lap's deletion moves every entry from its first removal to the end of
     the circle: at most n, and at most q per person it removes. Every lap
@@ -149,14 +154,22 @@ def survivor_simulation(n: int, q: int, *, simulation_cap: int = SIMULATION_CAP)
             f"the simulation would move up to {predicted} entries at n={n}, q={brief(q)}, "
             f"above the limit {MOVE_LIMIT}; use --algo recurrence"
         )
-    cells = _labels(n)
-    carry, size = 0, n
+    if n == 1:
+        return SurvivorResult(n, q, 1, "simulation")
+    empty, lap1 = divmod(q - 1, n)
+    size = n - len(range(lap1, n, q))
+    carry = (empty + 1) * n % q
+    cells = _labels(size)
     while size > 1:
         empty, first = divmod((q - 1 - carry) % q, size)
         del cells[first::q]
         carry = (carry + (empty + 1) * size) % q
         size = len(cells)
-    return SurvivorResult(n, q, cells[0] + 1, "simulation")
+    # back through the first lap: q - 1 people stand between its removals
+    j = cells[0]
+    if j >= lap1:
+        j += (j - lap1) // (q - 1) + 1
+    return SurvivorResult(n, q, j + 1, "simulation")
 
 
 def ow_sequence(q: int, seed: int, count: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Tests for the paired-run summary in tools/bench_pair.py."""
+"""Tests for the paired runs and sweeps in tools/bench_pair.py."""
 
 import importlib.util
 import json
@@ -114,3 +114,50 @@ def test_cli_sweep_times_run_per_command_line_with_its_output_captured(tmp_path,
     for point in section["points"]:
         for side in bench_pair.SIDES:
             assert 0 < point[side]["median_s"] < 1
+
+
+PROBE = """
+from pathlib import Path
+from .tag import TAG
+
+def mark(n):
+    # each call appends its tree's tag to the log beside both trees
+    with open(Path(__file__).parents[3] / "log", "a") as log:
+        log.write(f"{TAG} {n}\\n")
+"""
+
+
+def test_sweep_loads_both_trees_in_one_child_and_alternates_their_calls(tmp_path, monkeypatch):
+    # two trees whose divgap differ only in a tag: each call logs its tree,
+    # so the log shows both loaded side by side and the order of the calls
+    trees = {}
+    for side in bench_pair.SIDES:
+        package = tmp_path / side / "src" / "divgap"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "tag.py").write_text(f"TAG = {side!r}\n")
+        (package / "probe.py").write_text(PROBE)
+        trees[side] = tmp_path / side
+    monkeypatch.setattr(bench_pair, "SWEEP_ROUNDS", 2)
+    # with this tree's src/ on the child's path, an import of divgap by
+    # name would reach it; the child is given neither
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    section = bench_pair._sweep(trees, "divgap.probe.mark", [{"n": 7}], 4, {})
+    log = (tmp_path / "log").read_text().split("\n")[:-1]
+    p, c = "parent 7", "change 7"
+    # per child: one untimed call each, 4 timed calls each in ABBA order,
+    # and one call each under tracemalloc; the second child starts with
+    # the change
+    first = [p, c, p, c, c, p, p, c, c, p, p, c]
+    assert log == first + [{p: c, c: p}[line] for line in first]
+    (point,) = section["points"]
+    assert point["args"] == {"n": 7}
+    for side in bench_pair.SIDES:
+        assert 0 < point[side]["median_s"] < 1
+        assert point[side]["tracemalloc_peak_mb"] >= 0
+
+
+def test_sweep_refuses_a_function_outside_divgap():
+    with pytest.raises(SystemExit):
+        bench_pair.main(["sweep", "--parent", ".", "--change", ".", "--out", "unused.json",
+                         "--function", "os.getcwd", "--grid", "n=1"])

@@ -375,7 +375,8 @@ def test_envelope_round_trips():
 
 # every subcommand's parameters, in the order the envelope echoes them
 PARAMETER_KEYS = {
-    "seq": (("seq", "b", "--max", "3"), ["which", "max", "path", "oracle_bound", "digit_limit"]),
+    "seq": (("seq", "b", "--max", "3"), ["which", "max", "digit_limit"]),
+    "seq a": (("seq", "a", "--max", "3"), ["which", "max", "path", "oracle_bound", "digit_limit"]),
     "delta": (("delta", "48"), ["m", "above", "oracle_bound"]),
     "divisors": (("divisors", "48"), ["m", "count_only", "oracle_bound", "divisor_cap"]),
     "theorem": (("theorem", "--max", "3"), ["max", "path", "oracle_bound"]),
@@ -392,6 +393,26 @@ def test_json_parameter_keys_per_subcommand(command):
     args, keys = PARAMETER_KEYS[command]
     _, payload = envelope(*args)
     assert [k for k, _ in dict(payload)["parameters"]] == keys
+
+
+@pytest.mark.parametrize("option", [
+    ("--path", "oracle"), ("--path", "factored"), ("--oracle-bound", "5"), ("--or", "5"),
+])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_seq_b_refuses_the_options_of_seq_a(option, json_flag):
+    proc = run_cli("seq", "b", "--max", "3", *option, *json_flag)
+    flag = "--oracle-bound" if option[0] == "--or" else option[0]
+    message = f"{flag} applies only to seq a"
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+    if json_flag:
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "error"
+        assert payload["result"] == {"error": "ValueError", "message": message}
+        # the refused option is echoed as given, and the other not at all
+        assert [k for k in payload["parameters"] if k in ("path", "oracle_bound")] == [
+            flag[2:].replace("-", "_")]
+    else:
+        assert proc.stdout == ""
 
 
 def test_json_parameters_echo_the_request():

@@ -139,7 +139,7 @@ def test_simulation_q2_closed_form_at_block_edges(n):
     assert survivor_simulation(n, 2, simulation_cap=n).survivor == 2 * L + 1
 
 
-@pytest.mark.parametrize("q", range(3, 8))
+@pytest.mark.parametrize("q", range(2, 8))
 def test_simulation_at_a_million(q):
     got = survivor_simulation(10**6, q).survivor
     assert got == survivor_recurrence(10**6, q).survivor
@@ -154,6 +154,16 @@ def test_simulation_skips_empty_laps(q_of):
     for n in range(1, 120):
         q = max(q_of(n), 2)
         assert survivor_simulation(n, q).survivor == rotation_referee(n, q)
+
+
+def test_simulation_maps_the_first_lap_back_on_either_side():
+    # the circle starts after its first lap, which removes positions lap1,
+    # lap1 + q, ...; the survivor's position is mapped back through it,
+    # whether it stood before lap1 or after, and n <= q removes one person
+    for n in range(1, 131):
+        for q in {*range(2, 8), n - 1, n, n + 1, 2 * n + 3}:
+            if q >= 2:
+                assert survivor_simulation(n, q).survivor == rotation_referee(n, q), (n, q)
 
 
 @settings(max_examples=120, deadline=None)
@@ -208,6 +218,14 @@ def test_simulation_memory_holds_one_column():
     # a 0.25 MB column and the 0.25 MB template block; appending the last
     # block whole and trimming it afterwards peaked at 0.78 MB
     assert simulation_peak(65537, 2) < 0.75 * 2**20
+
+
+def test_simulation_builds_only_the_circle_after_its_first_lap():
+    # at q = 2 the first lap leaves half the people, so the column is 2 MB
+    # at 10^6 and 0.13 MB at 65,537; building all n labels and deleting the
+    # first lap from them peaked at 4.4 MB and 0.64 MB
+    assert simulation_peak(10**6, 2) < 2.5 * 2**20
+    assert simulation_peak(65537, 2) < 0.4 * 2**20
 
 
 def test_q2_closed_form():

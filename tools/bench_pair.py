@@ -20,13 +20,14 @@ DIR is a checkout of the tree to measure (for example a `git archive` of
 one commit). `pairs` runs `divbench/run.py --trace 0` once per seed on each
 tree for the `run_seconds` that BENCHMARK.json sets, alternating which tree
 runs first, and records every run's end-to-end metrics with each side's
-median, quartiles and the change's win count. `sweep` times one library
-function of each tree in fresh interpreters over a grid of keyword
-arguments, SWEEP_ROUNDS rounds of SWEEP_CALLS timed calls per point, one
-interpreter per point and tree, alternating which tree goes first point by
-point so that both sides of a point run close together on a host whose
-speed drifts, and records median seconds and the tracemalloc peak per grid
-point. `--build NAME=MAKER:KEY` passes the
+median, quartiles and the change's win count. `sweep` times one divgap
+function of both trees over a grid of keyword arguments, in SWEEP_ROUNDS
+fresh interpreters per point. Each loads both trees' divgap under separate
+package names and alternates their calls one by one, SWEEP_CALLS timed
+calls per tree, so that each call of one tree runs next to one of the
+other on a host whose speed drifts; which tree goes first swaps round by
+round and point by point. It records median seconds and the tracemalloc
+peak per grid point. `--build NAME=MAKER:KEY` passes the
 function a keyword NAME made, untimed, by the tree's own MAKER from the
 point's KEY value, for functions whose arguments are not integers. `cli`
 is that sweep of `divgap.cli.run(argv)`, one point per `--argv` command line
@@ -61,36 +62,62 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 RUN_GRACE_S = 600
-SWEEP_ROUNDS = 5  # fresh interpreters per tree, alternating which goes first
-SWEEP_CALLS = 5  # timed calls per grid point per round
+SWEEP_ROUNDS = 5  # fresh interpreters per grid point, alternating which tree goes first
+SWEEP_CALLS = 5  # timed calls per tree per grid point per round
 CLI_CALLS = 51  # timed calls per command line per round: most take well under a millisecond
 SETUP_SPAWNS = 60  # set-up children per tree, alternating which goes first
 
-# Runs in a fresh interpreter with the tree's src/ first on sys.path; argv is
-# the function's dotted name, the JSON keyword dict of one point, the number
-# of timed calls, and the JSON map of built keywords to [maker, key].
+# Runs in a fresh interpreter with neither tree on sys.path; argv is the
+# JSON map of side to src/ directory, in the order the sides take turns, the
+# function's dotted name, the JSON keyword dict of one point, the number of
+# timed calls per side, and the JSON map of built keywords to [maker, key].
+# Each tree's divgap loads as the package divgap_<side>, so both sit in one
+# interpreter, and the calls alternate side by side, the first side of each
+# pair swapping pair by pair (ABBA).
 SWEEP_CHILD = r"""
-import importlib, io, json, sys, time, tracemalloc
+import importlib, importlib.util, io, json, sys, time, tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-def resolve(dotted):
+srcs, dotted, point, calls, builds = (json.loads(a) for a in sys.argv[1:])
+def load(side, src):
+    name = f"divgap_{side}"
+    spec = importlib.util.spec_from_file_location(
+        name, f"{src}/divgap/__init__.py", submodule_search_locations=[f"{src}/divgap"])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return name
+def resolve(package, dotted):
     module, name = dotted.rsplit(".", 1)
-    return getattr(importlib.import_module(module), name)
-fn = resolve(sys.argv[1])
-point, calls, builds = json.loads(sys.argv[2]), int(sys.argv[3]), json.loads(sys.argv[4])
-kwargs = {**point, **{arg: resolve(maker)(point[key]) for arg, (maker, key) in builds.items()}}
-def call():
-    out, err = io.StringIO(), io.StringIO()
-    t0 = time.perf_counter()
-    with redirect_stdout(out), redirect_stderr(err):
-        fn(**kwargs)
-    return time.perf_counter() - t0
-call()
-times = sorted(call() for _ in range(calls))
-tracemalloc.start()
-call()
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(json.dumps({"median_s": times[len(times) // 2], "tracemalloc_peak_b": peak}))
+    return getattr(importlib.import_module(package + module[len("divgap"):]), name)
+def timed(package):
+    fn = resolve(package, dotted)
+    kwargs = {**point, **{arg: resolve(package, maker)(point[key])
+                          for arg, (maker, key) in builds.items()}}
+    def call():
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            fn(**kwargs)
+        return time.perf_counter() - t0
+    return call
+sides = {side: timed(load(side, src)) for side, src in srcs.items()}
+order = list(sides)
+for side in order:
+    sides[side]()
+times = {side: [] for side in order}
+for i in range(calls):
+    for side in (order if i % 2 == 0 else order[::-1]):
+        times[side].append(sides[side]())
+result = {}
+for side in order:
+    tracemalloc.start()
+    sides[side]()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    result[side] = {"median_s": sorted(times[side])[calls // 2], "tracemalloc_peak_b": peak}
+# a tree that imported divgap by its own name would have reached the other
+# tree, or none
+assert "divgap" not in sys.modules, "a tree imports divgap by name"
+print(json.dumps(result))
 """
 
 
@@ -193,24 +220,25 @@ def cmd_cli(args, trees: dict[str, Path]) -> dict:
 
 def _sweep(trees: dict[str, Path], function: str, points: list[dict], calls: int,
            builds: dict[str, list[str]]) -> dict:
-    # samples[side][i] holds point i's result from each round
-    samples = {side: [[] for _ in points] for side in SIDES}
+    # samples[i] holds point i's result from each round, one child per round
+    samples = [[] for _ in points]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     for r in range(SWEEP_ROUNDS):
         for i, point in enumerate(points):
-            for side in (SIDES if (r + i) % 2 == 0 else SIDES[::-1]):
-                proc = subprocess.run(
-                    [sys.executable, "-c", SWEEP_CHILD, function, json.dumps(point),
-                     str(calls), json.dumps(builds)],
-                    env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
-                    capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
-                samples[side][i].append(json.loads(proc.stdout))
+            order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
+            srcs = {side: str(trees[side] / "src") for side in order}
+            proc = subprocess.run(
+                [sys.executable, "-c", SWEEP_CHILD, json.dumps(srcs), json.dumps(function),
+                 json.dumps(point), str(calls), json.dumps(builds)],
+                env=env, capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
+            samples[i].append(json.loads(proc.stdout))
     rows = []
     for i, kwargs in enumerate(points):
         row = {"args": kwargs}
         for side in SIDES:
             row[side] = {
-                "median_s": statistics.median(s["median_s"] for s in samples[side][i]),
-                "tracemalloc_peak_mb": samples[side][i][0]["tracemalloc_peak_b"] / 2**20,
+                "median_s": statistics.median(s[side]["median_s"] for s in samples[i]),
+                "tracemalloc_peak_mb": samples[i][0][side]["tracemalloc_peak_b"] / 2**20,
             }
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
         rows.append(row)
@@ -242,10 +270,13 @@ def main(argv=None) -> int:
     if args.command == "pairs" and len(args.seeds) < 2:
         ap.error("--seeds needs at least two seeds to give quartiles")
     if args.command == "sweep":
+        if not args.function.startswith("divgap."):
+            ap.error(f"--function {args.function} is not in divgap")
         axes = {spec.partition("=")[0] for spec in args.grid}
         for name, (maker, key) in _builds(args.build).items():
-            if not name or "." not in maker or key not in axes:
-                ap.error(f"--build {name}={maker}:{key} needs NAME=MODULE.FUNCTION:GRID_AXIS")
+            if not name or not maker.startswith("divgap.") or key not in axes:
+                ap.error(f"--build {name}={maker}:{key} needs "
+                         "NAME=divgap.MODULE.FUNCTION:GRID_AXIS")
     trees = {side: getattr(args, side).resolve() for side in SIDES}
     for side, tree in trees.items():
         if not (tree / "divbench" / "run.py").is_file():

@@ -70,6 +70,8 @@ def _requests() -> list[list[str]]:
         ["seq", "a", "--max", "30", "--digit-limit", "5"],
         ["seq", "a", "--max", "-1"],
         ["seq", "b", "--max", "0"],
+        ["seq", "b", "--max", "3", "--path", "oracle"],  # options of seq a alone
+        ["seq", "b", "--max", "3", "--oracle-bound", "5"],
         ["seq", "a", "--max", "5", "--digit-limit", "0"],
         ["seq", "c", "--max", "5"],
     ]
