@@ -543,8 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["a", "b"])
     p.add_argument("--max", type=_integer("--max"), required=True, help="last index to compute")
     # None stands for not given; _cmd_seq fills in seq a's defaults
-    p.add_argument("--path", choices=list(A_PATHS), default=None)
-    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=None)
+    p.add_argument("--path", choices=list(A_PATHS), default=None,
+                   help="route to the gap terms (seq a only)")
+    p.add_argument("--oracle-bound", type=_integer("--oracle-bound", 1), default=None,
+                   help="trial-division bound of the oracle route (seq a only)")
     p.add_argument("--digit-limit", type=_integer("--digit-limit", 1), default=DIGIT_PRINT_LIMIT,
                    help="largest decimal rendering to attempt per term")
     p.set_defaults(handler=_cmd_seq)

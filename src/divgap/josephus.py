@@ -87,28 +87,41 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     return SurvivorResult(n, q, pos + 1, "recurrence")
 
 
-def _labels(n: int) -> array:
-    """array("I") holding 0..n-1, written as byte planes, with no int per label.
+def _label_block() -> bytes:
+    """Little-endian bytes of the labels 0..65,535, built once at import.
 
-    Bytes 0-1 of label i repeat every 65,536 labels, so one block of
-    min(n, 65536) labels gets them from two bytearray stride assignments;
-    each further block restamps byte 2 (and byte 3 when it changes) with the
-    block number and is appended, the last one only up to label n - 1. The
-    planes are written little-endian and byteswapped once on a big-endian
-    host.
+    Bytes 0-1 of label i are i mod 256 and i // 256, each plane one
+    bytearray stride assignment; bytes 2-3 stay zero.
     """
-    w = min(n, 1 << 16)
-    block = bytearray(4 * w)
-    block[0::4] = (bytes(range(256)) * -(-w // 256))[:w]
-    block[1::4] = b"".join(bytes((v,)) * 256 for v in range(-(-w // 256)))[:w]
+    block = bytearray(4 << 16)
+    block[0::4] = bytes(range(256)) * 256
+    block[1::4] = b"".join(bytes((v,)) * 256 for v in range(256))
+    return bytes(block)
+
+
+_LABEL_BLOCK = _label_block()
+
+
+def _labels(n: int) -> array:
+    """A fresh array("I") holding 0..n-1, with no int per label.
+
+    Bytes 0-1 of label i repeat every 65,536 labels, so the first
+    min(n, 65536) labels are copied from _LABEL_BLOCK, and each further
+    block is a copy with byte 2 (and byte 3 when it changes) restamped with
+    the block number, appended up to label n - 1. The copies are
+    byteswapped once on a big-endian host. _LABEL_BLOCK is bytes, so no
+    lap deletion on the returned array can reach it.
+    """
     cells = array("I")
-    for k in range(-(-n // w)):
-        if k:
-            block[2::4] = bytes((k & 255,)) * w
+    cells.frombytes(memoryview(_LABEL_BLOCK)[: 4 * n])
+    if n > 1 << 16:
+        block = bytearray(_LABEL_BLOCK)
+        for k in range(1, -(-n >> 16)):
+            block[2::4] = bytes((k & 255,)) * (1 << 16)
             if not k & 255:
-                block[3::4] = bytes((k >> 8,)) * w
-        # a slice past the end is the whole block
-        cells.frombytes(memoryview(block)[: 4 * (n - k * w)])
+                block[3::4] = bytes((k >> 8,)) * (1 << 16)
+            # a slice past the end is the whole block
+            cells.frombytes(memoryview(block)[: 4 * (n - (k << 16))])
     if sys.byteorder == "big":
         cells.byteswap()
     return cells

@@ -180,13 +180,18 @@ def test_one_column_matches_the_two_column_simulation(game):
     assert survivor_simulation(n, q).survivor == two_column_simulation(n, q)
 
 
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65535, 65536, 65537, 131072, 131073])
+# 131069, 131071 and 131073 at q = 2, 98302, 98303 and 98305 at q = 3, and
+# 76457..76459 at q = 7 leave first-lap circles of 65,535, 65,536 and 65,537
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65535, 65536, 65537, 76457, 76458, 76459,
+                               98302, 98303, 98305, 131069, 131071, 131072, 131073])
 def test_labels_at_byte_and_block_edges(n):
-    # bytes 0-1 of the labels come from one block of up to 65,536; byte 2
-    # is restamped per block
-    assert _labels(n) == array("I", range(n))
+    # bytes 0-1 of the labels come from one block of 65,536 built at import;
+    # byte 2 is restamped per further block. Every circle is a fresh copy, so
+    # after the simulations' lap deletions the block still reads as built
     for q in (2, 3, 7):
         assert survivor_simulation(n, q).survivor == survivor_recurrence(n, q).survivor
+    assert _labels(n) == array("I", range(n))
+    assert _labels(65536) == array("I", range(65536))
 
 
 def test_labels_past_the_third_byte():
@@ -215,9 +220,13 @@ def test_simulation_memory_at_a_million():
 def test_simulation_memory_holds_one_column():
     # one 4 MB column of labels; two_column_simulation peaked at 7.7 MB
     assert simulation_peak(10**6, 2) < 6 * 2**20
-    # a 0.25 MB column and the 0.25 MB template block; appending the last
-    # block whole and trimming it afterwards peaked at 0.78 MB
+    # the 32,769 people left after the first lap, a 0.13 MB column copied
+    # from the label block built at import; appending a last block whole and
+    # trimming it afterwards once peaked at 0.78 MB
     assert simulation_peak(65537, 2) < 0.75 * 2**20
+    # the first lap leaves 30,000 people, a 0.12 MB column that fits in one
+    # block; writing their labels' byte planes per call peaked at 0.24 MB
+    assert simulation_peak(60000, 2) < 0.18 * 2**20
 
 
 def test_simulation_builds_only_the_circle_after_its_first_lap():
