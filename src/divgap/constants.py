@@ -6,9 +6,10 @@ inside an interval of width (2/3)**n; intersecting them certifies digits,
 and needs only the parities of the recurrence's running sums, not its
 terms. The circle-game constant K3 is the limit of e(n) * (2/3)**n for the
 q = 3 ceiling iteration x -> floor((3x + 1)/2) seeded at 2, which nests by
-construction. Both 3/2 maps advance eight steps a jump through one table
-builder. relation_check compares c against (2/9) * K3 with no rounding
-anywhere.
+construction. Both 3/2 maps advance through one routine, _advance, eight
+steps a jump, each from its own table of 256 jumps; c's fold reads the
+parities that walk passes. relation_check compares c against (2/9) * K3
+with no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
+from operator import sub
 
 # DEFAULT_TERMS is public here
 from .errors import DEFAULT_TERMS, EmptyIntersection, brief  # noqa: F401
@@ -25,14 +27,7 @@ from .intervals import RationalInterval, render_digits
 K3_SCALE = Fraction(2, 9)
 
 
-def _steps(x: int, k: int) -> int:
-    """k steps of f(x) = floor((3x + 1)/2), one at a time."""
-    for _ in range(k):
-        x = (3 * x + 1) >> 1
-    return x
-
-
-def _jump_table(c: int) -> list[tuple[int, tuple[int, ...]]]:
+def _jump_table(c: int) -> tuple[tuple[int, bytes], ...]:
     """For step(x) = floor((3x + c)/2) and each L in 0..255: step^8(L) and
     the parities of L, step(L), ..., step^7(L).
 
@@ -45,48 +40,40 @@ def _jump_table(c: int) -> list[tuple[int, tuple[int, ...]]]:
     """
     table = []
     for x in range(256):
-        parities = []
+        parities = bytearray()
         for _ in range(8):
             parities.append(x & 1)
             x = (3 * x + c) >> 1
-        table.append((x, tuple(parities)))
-    return table
+        table.append((x, bytes(parities)))
+    return tuple(table)
 
 
-# f^8 on 0..255
-_JUMP8 = tuple(x for x, _ in _jump_table(1))
+# the jump tables of g (c = 0) and f (c = 1), indexed by c
+_JUMPS = (_jump_table(0), _jump_table(1))
 
 
-def _growth_jump8() -> tuple:
-    """g's table as c_enclosure reads it, per parity p of the previous iterate.
+def _advance(c: int, x: int, k: int, parities: bytearray | None = None) -> int:
+    """step^k(x) for step(x) = floor((3x + c)/2), eight steps a jump.
 
-    Entry [p][L] is g^8(L), the eight parity differences from p on, and the
-    last parity. The rows are for p = 0, 1 and -1, so index -1 reads the
-    last: -1 stands for the parity before u_1 (see c_enclosure).
+    step^8(2^8*H + L) = 3^8*H + step^8(L) (see _jump_table): one shift,
+    mask, multiply and add replace eight steps on the full-size integer.
+    The last k mod 8 steps run singly. Given a bytearray, appends the
+    parities of x, step(x), ..., step^(k-1)(x) to it.
     """
-    rows = ([], [], [])
-    for g8, parities in _jump_table(0):
-        rest = [q - p for p, q in zip(parities, parities[1:])]
-        for prev in (0, 1, -1):
-            rows[prev].append((g8, (parities[0] - prev, *rest), parities[7]))
-    return tuple(map(tuple, rows))
-
-
-_GROWTH_JUMP8 = _growth_jump8()
-
-
-def _iterate_q3(seed: int, count: int) -> int:
-    """The count-th term of x -> floor((3x + 1)/2) from seed, eight steps a jump.
-
-    f^8(2^8*H + L) = 3^8*H + f^8(L) (see _jump_table): one shift, mask,
-    multiply and add replace eight multiply-add-shift steps on the
-    full-size integer. The last count - 1 mod 8 steps run singly.
-    ow_sequence(3, seed, count)[-1] is the stepwise route to the same term.
-    """
-    x = seed
-    for _ in range((count - 1) >> 3):
-        x = 3**8 * (x >> 8) + _JUMP8[x & 255]
-    return _steps(x, (count - 1) & 7)
+    table = _JUMPS[c]
+    if parities is None:
+        for _ in range(k >> 3):
+            x = 3**8 * (x >> 8) + table[x & 255][0]
+    else:
+        for _ in range(k >> 3):
+            x8, eight = table[x & 255]
+            parities += eight
+            x = 3**8 * (x >> 8) + x8
+    for _ in range(k & 7):
+        if parities is not None:
+            parities.append(x & 1)
+        x = (3 * x + c) >> 1
+    return x
 
 
 def _fold_growth_constraints(steps: Iterable[int]) -> tuple[int, int, int]:
@@ -155,43 +142,29 @@ def c_enclosure(n_terms: int) -> RationalInterval:
     so 2b_n = u_(n-1) - (u_(n-1) mod 2) for n >= 2 and the fold's input is
     t_n = (u_(n-1) mod 2) - (u_(n-2) mod 2) for n >= 3, while t_2 = 1:
     that is the same difference with -1 for the parity before u_1 = 2.
-    The parities come eight at a time from g's jump table, one full-width
-    shift, multiply and add per eight terms; the walk stops at u_n, which
-    is 3b_n or 3b_n + 1 for n >= 2 and 2 for n = 1, so b_n = (u_n + 1) // 3.
+    _advance walks g from u_1 to u_n, eight terms a jump, and records the
+    parities of u_1, ..., u_(n-1) on the way; u_n is 3b_n or 3b_n + 1 for
+    n >= 2 and 2 for n = 1, so b_n = (u_n + 1) // 3.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {brief(n_terms)}")
-    u = 2
-
-    def blocks():
-        nonlocal u
-        p = -1
-        for _ in range((n_terms - 1) >> 3):
-            g8, ts, p = _GROWTH_JUMP8[p][u & 255]
-            yield ts
-            u = 3**8 * (u >> 8) + g8
-        tail = []
-        for _ in range((n_terms - 1) & 7):
-            q = u & 1
-            tail.append(q - p)
-            p = q
-            u += u >> 1
-        yield tail
-
-    n, lo_offset, hi_offset = _fold_growth_constraints(chain.from_iterable(blocks()))
+    parities = bytearray()
+    u = _advance(0, 2, n_terms - 1, parities)
+    n, lo_offset, hi_offset = _fold_growth_constraints(
+        map(sub, parities, chain((-1,), parities)))
     return _growth_interval(n, (u + 1) // 3, lo_offset, hi_offset)
 
 
 def k3_enclosure(n_terms: int) -> RationalInterval:
     """Enclosure of the circle-game constant from the seed-2 ceiling iteration.
 
-    With e the n-th iterate, the limit lies in
+    With e the n-th iterate, f^(n-1)(2) by _advance, the limit lies in
     [e * (2/3)**n, (e + 2) * (2/3)**n]; the lower bounds rise and the upper
     bounds fall, so the intervals nest and the width is exactly 2 * (2/3)**n.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {brief(n_terms)}")
-    e = _iterate_q3(2, n_terms)
+    e = _advance(1, 2, n_terms - 1)
     den = 3**n_terms
     return RationalInterval(Fraction(e << n_terms, den), Fraction((e + 2) << n_terms, den))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
+from functools import cache
 
 from .errors import SIMULATION_CAP, ResourceLimit, SimulationCapExceeded, brief
 from .report import CheckedRecord
@@ -87,8 +88,9 @@ def survivor_recurrence(n: int, q: int) -> SurvivorResult:
     return SurvivorResult(n, q, pos + 1, "recurrence")
 
 
+@cache
 def _label_block() -> bytes:
-    """Little-endian bytes of the labels 0..65,535, built once at import.
+    """Little-endian bytes of the labels 0..65,535, built on first use.
 
     Bytes 0-1 of label i are i mod 256 and i // 256, each plane one
     bytearray stride assignment; bytes 2-3 stay zero.
@@ -99,27 +101,27 @@ def _label_block() -> bytes:
     return bytes(block)
 
 
-_LABEL_BLOCK = _label_block()
-
-
 def _labels(n: int) -> array:
     """A fresh array("I") holding 0..n-1, with no int per label.
 
     Bytes 0-1 of label i repeat every 65,536 labels, so the first
-    min(n, 65536) labels are copied from _LABEL_BLOCK, and each further
-    block is a copy with byte 2 (and byte 3 when it changes) restamped with
-    the block number, appended up to label n - 1. The copies are
-    byteswapped once on a big-endian host. _LABEL_BLOCK is bytes, so no
-    lap deletion on the returned array can reach it.
+    min(n, 65536) labels are copied from _label_block(). Each further block
+    comes from one copy of no more of the block than the longest of them
+    needs, with byte 2 (and byte 3 when it changes) restamped with the
+    block number, appended up to label n - 1. The copies are
+    byteswapped once on a big-endian host. The block is bytes, so no lap
+    deletion on the returned array can reach it.
     """
+    first = _label_block()
     cells = array("I")
-    cells.frombytes(memoryview(_LABEL_BLOCK)[: 4 * n])
+    cells.frombytes(memoryview(first)[: 4 * n])
     if n > 1 << 16:
-        block = bytearray(_LABEL_BLOCK)
+        size = min(n - (1 << 16), 1 << 16)
+        block = bytearray(memoryview(first)[: 4 * size])
         for k in range(1, -(-n >> 16)):
-            block[2::4] = bytes((k & 255,)) * (1 << 16)
+            block[2::4] = bytes((k & 255,)) * size
             if not k & 255:
-                block[3::4] = bytes((k >> 8,)) * (1 << 16)
+                block[3::4] = bytes((k >> 8,)) * size
             # a slice past the end is the whole block
             cells.frombytes(memoryview(block)[: 4 * (n - (k << 16))])
     if sys.byteorder == "big":

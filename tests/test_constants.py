@@ -6,16 +6,20 @@ and are compared as literal text; nothing here is allowed to round.
 The bisection renderer below searches the certified depth two truncations
 per probe, the reference for the library's one-truncation renderer;
 ow_sequence steps the K3 iteration one term at a time, the reference for
-the library's eight-step jumps; the integer-numerator fold below is the
+_advance's eight-step jumps over f; the integer-numerator fold below is the
 reference for the library's fold of two small offsets, which
 _intersect_growth_constraints below feeds from any term list, and the term-fed
 offset fold below, kept as it stood before the fold read parities, is the
-reference for c_enclosure, which builds no term.
+reference for c_enclosure, which builds no term and reads the parities of
+_advance's walk over g. Both maps' tables are held to the maps stepped one
+at a time, and the two walks to each other: f's orbit from 2 is g's from 3
+less one.
 """
 
 import random
 import sys
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -26,13 +30,12 @@ from cli_run import run_cli
 
 import divgap.constants
 from divgap.constants import (
-    _GROWTH_JUMP8,
-    _JUMP8,
+    _JUMPS,
     DEFAULT_TERMS,
     K3_SCALE,
+    _advance,
     _fold_growth_constraints,
     _growth_interval,
-    _iterate_q3,
     _jump_table,
     c_enclosure,
     k3_enclosure,
@@ -337,8 +340,8 @@ def test_c_enclosure_reports_first_violation():
 
 
 def test_c_enclosure_streams_the_recurrence():
-    # the terms reach the intersection one at a time and are not kept; held
-    # as a list, 20,000 of them peak near 16 MiB
+    # no term is built: the fold reads one byte of parity per term; held
+    # as a list, 20,000 terms peak near 16 MiB
     tracemalloc.start()
     try:
         c_enclosure(20000)
@@ -423,18 +426,16 @@ def test_jump_table_is_the_stepwise_map(step, c):
     for low, (value, parities) in enumerate(_jump_table(c)):
         orbit = _orbit(step, low, 8)
         assert value == orbit[8]
-        assert parities == tuple(x % 2 for x in orbit[:8])
+        assert parities == bytes(x % 2 for x in orbit[:8])
 
 
 def test_the_kernels_tables_are_the_stepwise_maps():
-    for low in range(256):
-        orbit = _orbit(_f, low, 8)
-        assert _JUMP8[low] == orbit[8]
-        orbit = _orbit(_g, low, 8)
-        for prev in (0, 1, -1):
-            parities = [prev] + [x % 2 for x in orbit[:8]]
-            steps = tuple(q - p for p, q in zip(parities, parities[1:]))
-            assert _GROWTH_JUMP8[prev][low] == (orbit[8], steps, orbit[7] % 2)
+    # the tables _advance reads, indexed by c, not rebuilt by _jump_table
+    for step, c in MAPS:
+        assert len(_JUMPS[c]) == 256
+        for low in range(256):
+            orbit = _orbit(step, low, 8)
+            assert _JUMPS[c][low] == (orbit[8], bytes(x % 2 for x in orbit[:8]))
 
 
 _TABLES = {step: _jump_table(c) for step, c in MAPS}
@@ -453,7 +454,7 @@ def test_one_jump_is_eight_steps_of_either_map(x):
         orbit = _orbit(step, x, 8)
         value, parities = table[x & 255]
         assert 3**8 * (x >> 8) + value == orbit[8]
-        assert parities == tuple(y % 2 for y in orbit[:8])
+        assert parities == bytes(y % 2 for y in orbit[:8])
 
 
 def _fraction_intersection(terms: list[int]) -> RationalInterval:
@@ -627,13 +628,43 @@ def test_k3_seed_choice_is_the_shifted_seed1_iteration():
 def test_jumped_iterate_matches_ow_sequence_at_every_short_count(count):
     # counts 1..64 cover every tail of 0..7 single steps after 0..7 jumps
     for seed in (1, 2, 3, 255, 256, 257):
-        assert _iterate_q3(seed, count) == ow_sequence(3, seed, count)[-1]
+        assert _advance(1, seed, count - 1) == ow_sequence(3, seed, count)[-1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=3000))
 def test_jumped_iterate_matches_ow_sequence(seed, count):
-    assert _iterate_q3(seed, count) == ow_sequence(3, seed, count)[-1]
+    assert _advance(1, seed, count - 1) == ow_sequence(3, seed, count)[-1]
+
+
+def _complement(parities: bytearray) -> bytes:
+    return bytes(1 - p for p in parities)
+
+
+def test_the_two_orbits_are_one_orbit_shifted_by_one():
+    # f(x) = g(x + 1) - 1, so f^k(2) + 1 = g^(k+1)(2) = g^k(3), and the
+    # parities of the two orbits are complements. Chunks of 1..40 steps
+    # run both the jumps and the single-step tails of either map
+    rng = random.Random(31)
+    x, u, k = 2, 3, 0
+    f_parities, g_parities = bytearray(), bytearray()
+    while k < 10**4:
+        s = rng.randint(1, 40)
+        x = _advance(1, x, s, f_parities)
+        u = _advance(0, u, s, g_parities)
+        k += s
+        assert x + 1 == u, k
+    assert g_parities == _complement(f_parities)
+    # at 10^5 once, with g's walk held to b(n): g^(n-1)(2) is u_n, the
+    # running sum plus one, which is 3b(n) or 3b(n) + 1
+    n = 10**5
+    f_parities, g_parities = bytearray(), bytearray()
+    x = _advance(1, 2, n - 2, f_parities)
+    u = _advance(0, 2, n - 1, g_parities)
+    assert x + 1 == u
+    assert g_parities[1:] == _complement(f_parities)
+    b = deque(b_terms(n), maxlen=1)[0]
+    assert u - 3 * b in (0, 1)
 
 
 def test_k3_enclosure_is_the_stepwise_enclosure():

@@ -27,6 +27,7 @@ from divgap.josephus import (
     MOVE_LIMIT,
     SIMULATION_CAP,
     SurvivorResult,
+    _label_block,
     _labels,
     _step_limit,
     ow_sequence,
@@ -185,7 +186,7 @@ def test_one_column_matches_the_two_column_simulation(game):
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65535, 65536, 65537, 76457, 76458, 76459,
                                98302, 98303, 98305, 131069, 131071, 131072, 131073])
 def test_labels_at_byte_and_block_edges(n):
-    # bytes 0-1 of the labels come from one block of 65,536 built at import;
+    # bytes 0-1 of the labels come from one block of 65,536 built once;
     # byte 2 is restamped per further block. Every circle is a fresh copy, so
     # after the simulations' lap deletions the block still reads as built
     for q in (2, 3, 7):
@@ -204,6 +205,9 @@ def test_labels_past_the_third_byte():
 
 
 def simulation_peak(n, q):
+    # the label block is built once per process, on first use; build it
+    # outside the traced window, so no bound depends on which test runs first
+    _label_block()
     tracemalloc.start()
     try:
         survivor_simulation(n, q)
@@ -221,12 +225,16 @@ def test_simulation_memory_holds_one_column():
     # one 4 MB column of labels; two_column_simulation peaked at 7.7 MB
     assert simulation_peak(10**6, 2) < 6 * 2**20
     # the 32,769 people left after the first lap, a 0.13 MB column copied
-    # from the label block built at import; appending a last block whole and
+    # from the label block; appending a last block whole and
     # trimming it afterwards once peaked at 0.78 MB
     assert simulation_peak(65537, 2) < 0.75 * 2**20
     # the first lap leaves 30,000 people, a 0.12 MB column that fits in one
     # block; writing their labels' byte planes per call peaked at 0.24 MB
     assert simulation_peak(60000, 2) < 0.18 * 2**20
+    # the first lap leaves 66,667 people, a 0.25 MB column just past one
+    # block; copying the whole block to stamp the 1,131 labels past it
+    # peaked at 0.64 MB
+    assert simulation_peak(100000, 3) < 0.4 * 2**20
 
 
 def test_simulation_builds_only_the_circle_after_its_first_lap():
