@@ -94,9 +94,9 @@ def _envelope(args, result, status) -> dict:
 
 # --- subcommand handlers ---
 #
-# Each returns (result, lines, ok): the --json result, the plain lines, and
-# whether the run found what it checks for; run() maps ok to the status and
-# the exit code.
+# Each returns (result, lines, ok): the --json result, the plain lines (none
+# needed under --json), and whether the run found what it checks for; run()
+# maps ok to the status and the exit code.
 
 
 def _cmd_seq(args) -> tuple[dict, list[str], bool]:
@@ -136,7 +136,7 @@ def _cmd_seq(args) -> tuple[dict, list[str], bool]:
             )
         records.append((odd, e))
     digits = [decimal_str(odd << e) for odd, e in records]
-    lines = [f"{i} {d}" for i, d in enumerate(digits, start=start)]
+    lines = [] if args.json else [f"{i} {d}" for i, d in enumerate(digits, start=start)]
     result = {"name": args.which, "start_index": start, "path": path, "terms": digits}
     return result, lines, True
 
@@ -167,7 +167,7 @@ def _cmd_divisors(args) -> tuple[dict, list[str], bool]:
         return {"m": args.m, "count": count}, [str(count)], True
     divs = divisor_list_factored(f, divisor_cap=args.divisor_cap)
     result = {"m": args.m, "count": count, "divisors": divs}
-    return result, [" ".join(str(d) for d in divs)], True
+    return result, [] if args.json else [" ".join(map(str, divs))], True
 
 
 def _cmd_theorem(args) -> tuple[dict, list[str], bool]:

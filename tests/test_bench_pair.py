@@ -100,23 +100,26 @@ def test_cli_sweep_times_run_per_command_line_with_its_output_captured(tmp_path,
     # on the stdout the command lines also write to, so the redirection is
     # what lets it parse
     monkeypatch.setattr(bench_pair, "SWEEP_ROUNDS", 2)
-    monkeypatch.setattr(bench_pair, "CLI_CALLS", 3)
+    monkeypatch.setattr(bench_pair, "SWEEP_SPAN_S", 0)
+    monkeypatch.setattr(bench_pair, "SWEEP_MIN_CALLS", 3)
     out = tmp_path / "BENCH_x.json"
     assert bench_pair.main(["cli", "--parent", str(ROOT), "--change", str(ROOT),
                             "--argv", "lemma 1", "--argv", "delta 48 --above '1'",
                             "--argv", "delta x", "--out", str(out)]) == 0
     section = json.loads(out.read_text())["cli"]
     assert section["function"] == "divgap.cli.run"
-    assert (section["rounds"], section["calls_per_round"]) == (2, 3)
+    assert (section["rounds"], section["span_s"], section["min_calls"]) == (2, 0, 3)
     assert [p["args"] for p in section["points"]] == [
         {"argv": ["lemma", "1"]}, {"argv": ["delta", "48", "--above", "1"]},
         {"argv": ["delta", "x"]}]
     for point in section["points"]:
+        assert point["calls"] == [3, 3]
         for side in bench_pair.SIDES:
             assert 0 < point[side]["median_s"] < 1
 
 
 PROBE = """
+import time
 from pathlib import Path
 from .tag import TAG
 
@@ -124,12 +127,14 @@ def mark(n):
     # each call appends its tree's tag to the log beside both trees
     with open(Path(__file__).parents[3] / "log", "a") as log:
         log.write(f"{TAG} {n}\\n")
+
+def wait(ms):
+    time.sleep(ms / 1000)
 """
 
 
-def test_sweep_loads_both_trees_in_one_child_and_alternates_their_calls(tmp_path, monkeypatch):
-    # two trees whose divgap differ only in a tag: each call logs its tree,
-    # so the log shows both loaded side by side and the order of the calls
+def probe_trees(tmp_path):
+    """Two trees whose divgap.probe differ only in the tag each call logs."""
     trees = {}
     for side in bench_pair.SIDES:
         package = tmp_path / side / "src" / "divgap"
@@ -138,20 +143,29 @@ def test_sweep_loads_both_trees_in_one_child_and_alternates_their_calls(tmp_path
         (package / "tag.py").write_text(f"TAG = {side!r}\n")
         (package / "probe.py").write_text(PROBE)
         trees[side] = tmp_path / side
+    return trees
+
+
+def test_sweep_loads_both_trees_in_one_child_and_alternates_their_calls(tmp_path, monkeypatch):
+    # each call logs its tree, so the log shows both loaded side by side
+    # and the order of the calls
+    trees = probe_trees(tmp_path)
     monkeypatch.setattr(bench_pair, "SWEEP_ROUNDS", 2)
+    monkeypatch.setattr(bench_pair, "SWEEP_SPAN_S", 0)
+    monkeypatch.setattr(bench_pair, "SWEEP_MIN_CALLS", 4)
     # with this tree's src/ on the child's path, an import of divgap by
     # name would reach it; the child is given neither
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
-    section = bench_pair._sweep(trees, "divgap.probe.mark", [{"n": 7}], 4, {})
+    section = bench_pair._sweep(trees, "divgap.probe.mark", [{"n": 7}], {})
     log = (tmp_path / "log").read_text().split("\n")[:-1]
     p, c = "parent 7", "change 7"
-    # per child: one untimed call each, 4 timed calls each in ABBA order,
+    # per child: two untimed calls each, 4 timed calls each in ABBA order,
     # and one call each under tracemalloc; the second child starts with
     # the change
-    first = [p, c, p, c, c, p, p, c, c, p, p, c]
+    first = [p, c, p, c, p, c, c, p, p, c, c, p, p, c]
     assert log == first + [{p: c, c: p}[line] for line in first]
     (point,) = section["points"]
-    assert point["args"] == {"n": 7}
+    assert point["args"] == {"n": 7} and point["calls"] == [4, 4]
     for side in bench_pair.SIDES:
         assert 0 < point[side]["median_s"] < 1
         assert point[side]["tracemalloc_peak_mb"] >= 0
@@ -161,3 +175,16 @@ def test_sweep_refuses_a_function_outside_divgap():
     with pytest.raises(SystemExit):
         bench_pair.main(["sweep", "--parent", ".", "--change", ".", "--out", "unused.json",
                          "--function", "os.getcwd", "--grid", "n=1"])
+
+
+def test_sweep_sizes_each_round_by_the_cost_of_a_call(monkeypatch, tmp_path):
+    # with 20 ms to fill, a call of microseconds is timed hundreds of times
+    # and one that sleeps 8 ms at most three times, never below the fewest
+    monkeypatch.setattr(bench_pair, "SWEEP_ROUNDS", 1)
+    monkeypatch.setattr(bench_pair, "SWEEP_SPAN_S", 0.02)
+    monkeypatch.setattr(bench_pair, "SWEEP_MIN_CALLS", 2)
+    section = bench_pair._sweep(probe_trees(tmp_path), "divgap.probe.wait",
+                                [{"ms": 0}, {"ms": 8}, {"ms": 30}], {})
+    (quick,), (slow,), (slowest,) = (p["calls"] for p in section["points"])
+    assert quick >= 100 and 2 <= slow <= 3 and slowest == 2
+    assert (section["span_s"], section["min_calls"]) == (0.02, 2)

@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from math import isqrt
@@ -27,8 +28,8 @@ from divgap.josephus import (
     MOVE_LIMIT,
     SIMULATION_CAP,
     SurvivorResult,
-    _label_block,
-    _labels,
+    _circle,
+    _low_block,
     _step_limit,
     ow_sequence,
     survivor_recurrence,
@@ -181,33 +182,58 @@ def test_one_column_matches_the_two_column_simulation(game):
     assert survivor_simulation(n, q).survivor == two_column_simulation(n, q)
 
 
+def column_labels(cells, starts, indices):
+    """The labels at indices: 65,536 per start at or before the index, plus its low half."""
+    return [(bisect_right(starts, i) << 16) + cells[i] for i in indices]
+
+
 # 131069, 131071 and 131073 at q = 2, 98302, 98303 and 98305 at q = 3, and
-# 76457..76459 at q = 7 leave first-lap circles of 65,535, 65,536 and 65,537
+# 76457..76459 at q = 7 leave first-lap circles of 65,535, 65,536 and 65,537;
+# 262141, 262143 and 262145 at q = 2 and 152916..152918 at q = 7 leave
+# 131,071, 131,072 and 131,073
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 65535, 65536, 65537, 76457, 76458, 76459,
-                               98302, 98303, 98305, 131069, 131071, 131072, 131073])
+                               98302, 98303, 98305, 131069, 131071, 131072, 131073,
+                               152916, 152917, 152918, 262141, 262143, 262145])
 def test_labels_at_byte_and_block_edges(n):
-    # bytes 0-1 of the labels come from one block of 65,536 built once;
-    # byte 2 is restamped per further block. Every circle is a fresh copy, so
-    # after the simulations' lap deletions the block still reads as built
+    # the column holds each label's low 16 bits, copied from one block of
+    # 65,536 built once, and the starts mark where each further block
+    # begins. Every circle is a fresh copy, so after the simulations' lap
+    # deletions the block still reads as built
     for q in (2, 3, 7):
         assert survivor_simulation(n, q).survivor == survivor_recurrence(n, q).survivor
-    assert _labels(n) == array("I", range(n))
-    assert _labels(65536) == array("I", range(65536))
+    cells, starts = _circle(n)
+    assert cells == array("H", [i & 0xFFFF for i in range(n)])
+    assert starts == [i for i in range(1, n) if not i & 0xFFFF]
+    assert column_labels(cells, starts, range(n)) == list(range(n))
+    assert _low_block() == array("H", range(65536))
 
 
 def test_labels_past_the_third_byte():
-    # byte 3 is restamped only when it changes, first at label 2^24
+    # the labels past 2^24 are rebuilt from 256 starts
     n = 2**24 + 2
-    cells = _labels(n)
-    assert len(cells) == n
-    assert cells[2**24 - 2:] == array("I", range(2**24 - 2, n))
-    assert cells[::65521] == array("I", range(0, n, 65521))
+    cells, starts = _circle(n)
+    assert len(cells) == n and len(starts) == 256 and starts[-1] == 2**24
+    indices = [*range(0, n, 65521), *range(2**24 - 2, n)]
+    assert column_labels(cells, starts, indices) == indices
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_whole_blocks_leave_before_the_survivor(q):
+    # at n = 10^6 the survivor's label in the circle after the first lap is
+    # past 65,535: every label of at least one whole block leaves before it,
+    # and those blocks' starts collapse to index 0
+    n = 10**6
+    survivor = survivor_simulation(n, q).survivor
+    assert survivor == two_column_simulation(n, q)
+    # the first lap removed the people at lap1, lap1 + q, ... before it
+    label = survivor - 1 - len(range((q - 1) % n, survivor - 1, q))
+    assert label >> 16 >= 1
 
 
 def simulation_peak(n, q):
     # the label block is built once per process, on first use; build it
     # outside the traced window, so no bound depends on which test runs first
-    _label_block()
+    _low_block()
     tracemalloc.start()
     try:
         survivor_simulation(n, q)
@@ -222,26 +248,28 @@ def test_simulation_memory_at_a_million():
 
 
 def test_simulation_memory_holds_one_column():
-    # one 4 MB column of labels; two_column_simulation peaked at 7.7 MB
-    assert simulation_peak(10**6, 2) < 6 * 2**20
-    # the 32,769 people left after the first lap, a 0.13 MB column copied
+    # the first lap leaves 857,143 people, a 1.7 MB column at two bytes a
+    # label; four-byte labels peaked at 3.83 MiB, two columns at 7.7 MB
+    assert simulation_peak(10**6, 7) < 2.5 * 2**20
+    # the 32,769 people left after the first lap, a 64 KB column copied
     # from the label block; appending a last block whole and
     # trimming it afterwards once peaked at 0.78 MB
     assert simulation_peak(65537, 2) < 0.75 * 2**20
-    # the first lap leaves 30,000 people, a 0.12 MB column that fits in one
+    # the first lap leaves 30,000 people, a 60 KB column that fits in one
     # block; writing their labels' byte planes per call peaked at 0.24 MB
     assert simulation_peak(60000, 2) < 0.18 * 2**20
-    # the first lap leaves 66,667 people, a 0.25 MB column just past one
+    # the first lap leaves 66,667 people, a 0.13 MB column just past one
     # block; copying the whole block to stamp the 1,131 labels past it
     # peaked at 0.64 MB
     assert simulation_peak(100000, 3) < 0.4 * 2**20
 
 
 def test_simulation_builds_only_the_circle_after_its_first_lap():
-    # at q = 2 the first lap leaves half the people, so the column is 2 MB
-    # at 10^6 and 0.13 MB at 65,537; building all n labels and deleting the
-    # first lap from them peaked at 4.4 MB and 0.64 MB
-    assert simulation_peak(10**6, 2) < 2.5 * 2**20
+    # at q = 2 the first lap leaves half the people, so the column is 1 MB
+    # at 10^6 and 64 KB at 65,537; building all n labels and deleting the
+    # first lap from them peaked at 4.4 MB and 0.64 MB with four-byte
+    # labels, and four-byte labels of the circle after it at 2.28 MiB
+    assert simulation_peak(10**6, 2) < 1.5 * 2**20
     assert simulation_peak(65537, 2) < 0.4 * 2**20
 
 

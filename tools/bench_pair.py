@@ -23,16 +23,19 @@ runs first, and records every run's end-to-end metrics with each side's
 median, quartiles and the change's win count. `sweep` times one divgap
 function of both trees over a grid of keyword arguments, in SWEEP_ROUNDS
 fresh interpreters per point. Each loads both trees' divgap under separate
-package names and alternates their calls one by one, SWEEP_CALLS timed
-calls per tree, so that each call of one tree runs next to one of the
-other on a host whose speed drifts; which tree goes first swaps round by
-round and point by point. It records median seconds and the tracemalloc
-peak per grid point. `--build NAME=MAKER:KEY` passes the
+package names and alternates their calls one by one, so that each call of
+one tree runs next to one of the other on a host whose speed drifts; which
+tree goes first swaps round by round and point by point. Each round sizes
+its count of timed calls per tree from one untimed call of each tree, made
+after another has filled caches and lazy imports, so that the faster
+tree's timed calls take at least SWEEP_SPAN_S, and never fewer than
+SWEEP_MIN_CALLS. It records median seconds, the tracemalloc peak and each
+round's call count per grid point. `--build NAME=MAKER:KEY` passes the
 function a keyword NAME made, untimed, by the tree's own MAKER from the
 point's KEY value, for functions whose arguments are not integers. `cli`
 is that sweep of `divgap.cli.run(argv)`, one point per `--argv` command line
-(split as a shell would), CLI_CALLS timed calls per point per round, kept
-in the file's `cli` section. Every sweep call writes to its own StringIO
+(split as a shell would), with calls counted by the same rule, kept in
+the file's `cli` section. Every sweep call writes to its own StringIO
 for stdout and stderr, as divbench's `run_job` does, and is timed with the
 redirection. `setup`
 spawns each tree's `divbench/child.py --setup-only` SETUP_SPAWNS times,
@@ -63,21 +66,24 @@ from pathlib import Path
 SIDES = ("parent", "change")
 RUN_GRACE_S = 600
 SWEEP_ROUNDS = 5  # fresh interpreters per grid point, alternating which tree goes first
-SWEEP_CALLS = 5  # timed calls per tree per grid point per round
-CLI_CALLS = 51  # timed calls per command line per round: most take well under a millisecond
+# a round times each tree's calls for at least SWEEP_SPAN_S seconds, so that
+# a point of microseconds gets thousands of calls and one of a second a few
+SWEEP_SPAN_S = 0.05
+SWEEP_MIN_CALLS = 5  # timed calls per tree per round, however slow a call
 SETUP_SPAWNS = 60  # set-up children per tree, alternating which goes first
 
 # Runs in a fresh interpreter with neither tree on sys.path; argv is the
 # JSON map of side to src/ directory, in the order the sides take turns, the
-# function's dotted name, the JSON keyword dict of one point, the number of
-# timed calls per side, and the JSON map of built keywords to [maker, key].
+# function's dotted name, the JSON keyword dict of one point, the least
+# seconds and the fewest calls to time per side, and the JSON map of built
+# keywords to [maker, key].
 # Each tree's divgap loads as the package divgap_<side>, so both sit in one
 # interpreter, and the calls alternate side by side, the first side of each
 # pair swapping pair by pair (ABBA).
 SWEEP_CHILD = r"""
-import importlib, importlib.util, io, json, sys, time, tracemalloc
+import importlib, importlib.util, io, json, math, sys, time, tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-srcs, dotted, point, calls, builds = (json.loads(a) for a in sys.argv[1:])
+srcs, dotted, point, span, fewest, builds = (json.loads(a) for a in sys.argv[1:])
 def load(side, src):
     name = f"divgap_{side}"
     spec = importlib.util.spec_from_file_location(
@@ -101,8 +107,12 @@ def timed(package):
     return call
 sides = {side: timed(load(side, src)) for side, src in srcs.items()}
 order = list(sides)
+# the first call of each side fills caches and lazy imports; the second
+# sizes the round
 for side in order:
     sides[side]()
+warm = min(sides[side]() for side in order)
+calls = max(fewest, math.ceil(span / warm))
 times = {side: [] for side in order}
 for i in range(calls):
     for side in (order if i % 2 == 0 else order[::-1]):
@@ -114,6 +124,7 @@ for side in order:
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     result[side] = {"median_s": sorted(times[side])[calls // 2], "tracemalloc_peak_b": peak}
+result["calls"] = calls
 # a tree that imported divgap by its own name would have reached the other
 # tree, or none
 assert "divgap" not in sys.modules, "a tree imports divgap by name"
@@ -210,15 +221,14 @@ def _builds(specs: list[str]) -> dict[str, list[str]]:
 
 
 def cmd_sweep(args, trees: dict[str, Path]) -> dict:
-    return _sweep(trees, args.function, _grid(args.grid), SWEEP_CALLS, _builds(args.build))
+    return _sweep(trees, args.function, _grid(args.grid), _builds(args.build))
 
 
 def cmd_cli(args, trees: dict[str, Path]) -> dict:
-    return _sweep(trees, "divgap.cli.run", [{"argv": shlex.split(a)} for a in args.argv],
-                  CLI_CALLS, {})
+    return _sweep(trees, "divgap.cli.run", [{"argv": shlex.split(a)} for a in args.argv], {})
 
 
-def _sweep(trees: dict[str, Path], function: str, points: list[dict], calls: int,
+def _sweep(trees: dict[str, Path], function: str, points: list[dict],
            builds: dict[str, list[str]]) -> dict:
     # samples[i] holds point i's result from each round, one child per round
     samples = [[] for _ in points]
@@ -229,7 +239,8 @@ def _sweep(trees: dict[str, Path], function: str, points: list[dict], calls: int
             srcs = {side: str(trees[side] / "src") for side in order}
             proc = subprocess.run(
                 [sys.executable, "-c", SWEEP_CHILD, json.dumps(srcs), json.dumps(function),
-                 json.dumps(point), str(calls), json.dumps(builds)],
+                 json.dumps(point), json.dumps(SWEEP_SPAN_S), json.dumps(SWEEP_MIN_CALLS),
+                 json.dumps(builds)],
                 env=env, capture_output=True, text=True, timeout=RUN_GRACE_S, check=True)
             samples[i].append(json.loads(proc.stdout))
     rows = []
@@ -241,9 +252,10 @@ def _sweep(trees: dict[str, Path], function: str, points: list[dict], calls: int
                 "tracemalloc_peak_mb": samples[i][0][side]["tracemalloc_peak_b"] / 2**20,
             }
         row["speedup"] = row["parent"]["median_s"] / row["change"]["median_s"]
+        row["calls"] = [s["calls"] for s in samples[i]]
         rows.append(row)
     return {"function": function, "built": builds, "rounds": SWEEP_ROUNDS,
-            "calls_per_round": calls, "points": rows}
+            "span_s": SWEEP_SPAN_S, "min_calls": SWEEP_MIN_CALLS, "points": rows}
 
 
 def main(argv=None) -> int:
