@@ -28,6 +28,7 @@ _EXPORTS = {
     "RelationReport": "constants",
     "c_enclosure": "constants",
     "k3_enclosure": "constants",
+    "orbit_identity": "constants",
     "relation_check": "constants",
     "DivisorPair": "divisors",
     "Factorization": "divisors",

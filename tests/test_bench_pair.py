@@ -188,3 +188,62 @@ def test_sweep_sizes_each_round_by_the_cost_of_a_call(monkeypatch, tmp_path):
     (quick,), (slow,), (slowest,) = (p["calls"] for p in section["points"])
     assert quick >= 100 and 2 <= slow <= 3 and slowest == 2
     assert (section["span_s"], section["min_calls"]) == (0.02, 2)
+
+
+MAIN = """
+import os, sys
+from pathlib import Path
+from .tag import TAG
+
+# each run appends its tree's tag, its arguments and the bytecode setting it
+# was given to the log beside both trees
+with open(Path(__file__).parents[3] / "log", "a") as log:
+    log.write(f"{TAG} {' '.join(sys.argv[1:])} {os.environ.get('PYTHONDONTWRITEBYTECODE')}\\n")
+print(TAG if "--differ" in sys.argv else "same")
+"""
+
+
+@pytest.mark.parametrize("bytecode", ["1", None])
+def test_process_runs_each_tree_as_a_fresh_process_in_turn(tmp_path, monkeypatch, bytecode):
+    # with this tree's src/ on the caller's path, python -m divgap would
+    # reach it; each child is given its own tree's src/ instead
+    trees = probe_trees(tmp_path)
+    for tree in trees.values():
+        (tree / "src" / "divgap" / "__main__.py").write_text(MAIN)
+    monkeypatch.setattr(bench_pair, "PROCESS_RUNS", 3)
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    if bytecode is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", bytecode)
+    section = bench_pair._processes(trees, [["seq", "b"], ["x", "--differ"]])
+    log = (tmp_path / "log").read_text().split("\n")[:-1]
+    # per command line: one untimed run each, then three timed runs each,
+    # the first tree swapping run by run
+    order = ["parent", "change", "parent", "change", "change", "parent", "parent", "change"]
+    assert log == ([f"{side} seq b {bytecode}" for side in order]
+                   + [f"{side} x --differ {bytecode}" for side in order])
+    assert section["runs"] == 3
+    assert section["pythondontwritebytecode"] == bytecode
+    same, differ = section["points"]
+    assert (same["argv"], differ["argv"]) == (["seq", "b"], ["x", "--differ"])
+    assert same["same_output"] and not differ["same_output"]
+    assert same["exit_codes"] == {"parent": 0, "change": 0}
+    for point in section["points"]:
+        assert point["seconds"]["pairs"] == 3
+        for side in bench_pair.SIDES:
+            assert len(point["samples"][side]) == 3
+            assert all(0 < s < 30 for s in point["samples"][side])
+
+
+def test_process_writes_its_own_section(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pair, "PROCESS_RUNS", 2)
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"cli": {"points": []}}))
+    assert bench_pair.main(["process", "--parent", str(ROOT), "--change", str(ROOT),
+                            "--argv", "delta 48", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cli"] == {"points": []}
+    (point,) = doc["process"]["points"]
+    assert point["argv"] == ["delta", "48"] and point["same_output"]
+    assert point["exit_codes"] == {"parent": 0, "change": 0}

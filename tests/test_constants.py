@@ -10,10 +10,13 @@ _advance's eight-step jumps over f; the integer-numerator fold below is the
 reference for the library's fold of two small offsets, which
 _intersect_growth_constraints below feeds from any term list, and the term-fed
 offset fold below, kept as it stood before the fold read parities, is the
-reference for c_enclosure, which builds no term and reads the parities of
-_advance's walk over g. Both maps' tables are held to the maps stepped one
-at a time, and the two walks to each other: f's orbit from 2 is g's from 3
-less one.
+reference for c_enclosure, which builds no term and folds eight terms a
+step from the low bytes of _advance's walk over g. Every entry of that
+eight-term table is held to eight steps of the fold and to the same
+composition in Fraction arithmetic, and the windowed fold to the stepwise
+one on any stream of low bytes. Both maps' tables are held to the maps
+stepped one at a time, and the two walks to each other: f's orbit from 2 is
+g's from 3 less one.
 """
 
 import random
@@ -35,10 +38,14 @@ from divgap.constants import (
     K3_SCALE,
     _advance,
     _fold_growth_constraints,
+    _fold_windows,
     _growth_interval,
     _jump_table,
+    _window_steps,
+    _window_table,
     c_enclosure,
     k3_enclosure,
+    orbit_identity,
     relation_check,
 )
 from divgap.errors import EmptyIntersection
@@ -50,6 +57,7 @@ from divgap.intervals import (
     render_digits,
 )
 from divgap.josephus import ow_sequence
+from divgap.report import CheckRecord
 from divgap.sequences import b_seq, b_terms
 
 # 34 certified places of the growth constant from the 200-term enclosure
@@ -324,12 +332,12 @@ def _intersect_growth_constraints(terms) -> RationalInterval:
             yield t
 
     try:
-        n, lo_offset, hi_offset = _fold_growth_constraints(steps())
+        state = _fold_growth_constraints(steps())
     except EmptyIntersection as exc:
         raise EmptyIntersection(
             f"constraint {exc.index} (term {b}) empties the intersection", index=exc.index
         ) from None
-    return _growth_interval(n, b, lo_offset, hi_offset)
+    return _growth_interval(b, *state)
 
 
 def test_c_enclosure_reports_first_violation():
@@ -339,16 +347,24 @@ def test_c_enclosure_reports_first_violation():
     assert info.value.index == 2
 
 
-def test_c_enclosure_streams_the_recurrence():
-    # no term is built: the fold reads one byte of parity per term; held
-    # as a list, 20,000 terms peak near 16 MiB
+def _enclosure_peak(n: int) -> int:
+    """c_enclosure(n)'s tracemalloc peak, with the window table built first."""
+    _window_table()
     tracemalloc.start()
     try:
-        c_enclosure(20000)
-        peak = tracemalloc.get_traced_memory()[1]
+        c_enclosure(n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+
+
+def test_c_enclosure_streams_the_recurrence():
+    # no term is built: the fold reads one low byte per eight terms. Held as
+    # a list, 20,000 terms peak near 16 MiB. At 10^5 terms the walk's two
+    # full-width integers and the endpoints' Fractions peak near 0.34 MiB;
+    # keeping a byte of parity per term, 0.1 MB more, peaked at 0.45 MiB
+    assert _enclosure_peak(20000) < 2**20
+    assert _enclosure_peak(10**5) < 0.4 * 2**20
 
 
 def _offset_fold_reference(terms) -> RationalInterval:
@@ -401,6 +417,182 @@ def test_c_enclosure_matches_the_term_fed_fold_at_a_hundred_thousand():
     assert c_enclosure(10**5) == _offset_fold_reference(b_terms(10**5))
 
 
+@pytest.mark.parametrize("n", [*range(1, 70), 1999, 3001, 4999, 12345])
+def test_c_enclosure_matches_the_term_fed_fold_at_every_window_edge(n):
+    # n = 1..69 puts the last term at every place in the first windows,
+    # with 0..7 terms left over after them
+    assert c_enclosure(n) == _offset_fold_reference(b_terms(n))
+
+
+def _g_parities(low: int) -> list[int]:
+    """The parities of low, g(low), ..., g^7(low), stepped one at a time."""
+    return [u % 2 for u in _orbit(_g, low, 7)]
+
+
+def _window_ts(key: int) -> list[int]:
+    """t of the eight terms after table key p * 256 + L: each parity minus the one before."""
+    parities = [key >> 8, *_g_parities(key & 255)]
+    return [y - x for x, y in zip(parities, parities[1:])]
+
+
+def _composed_window(ts: list[int]) -> tuple[Fraction, Fraction]:
+    """Reference: (S, C) of eight steps x -> max((3x + 2t - 1)/2, 0), in Fraction.
+
+    B composes the eight affine parts and C is the clamped steps' value from
+    0, so the window is x -> max((3/2)^8 x + B, C), and S, where the affine
+    part meets C, is the largest x that ends at C. Along the way it checks
+    what makes S the whole test: from 0 no step's value passes 2, C is at
+    most 1/2, and no x <= S empties the intersection, since the least x at
+    which some step's affine part passes 2, T, is at least S.
+    """
+    half = Fraction(1, 2)
+    b = c = Fraction(0)
+    thresholds = []
+    for i, t in enumerate(ts, start=1):
+        b = 3 * b * half + (2 * t - 1) * half
+        before = 3 * c * half + (2 * t - 1) * half
+        assert before <= 2
+        c = max(before, 0)
+        thresholds.append((2 - b) / Fraction(3, 2) ** i)
+    s = (c - b) / Fraction(3, 2) ** 8
+    assert c <= half and 0 <= s <= min(thresholds)
+    return s, c
+
+
+def test_window_table_is_the_composition_of_eight_steps():
+    # every field of every entry, E's as D's with t negated
+    table = _window_table()
+    assert len(table) == 512
+    for key, entry in enumerate(table):
+        ts = _window_ts(key)
+        got = [Fraction(x, w) for x, w in zip(entry[:4], (3**8, 2**8) * 2)]
+        assert got == [*_composed_window(ts), *_composed_window([-t for t in ts])], key
+        assert entry[4] == _g_parities(key & 255)[7] << 8
+
+
+# offsets as d / 2^WINDOW_BITS: 2^14 > 2 * 3^8, so a numerator over 3^8
+# has such an offset within 1/3^8 on either side of it
+WINDOW_BITS = 14
+
+
+def _offsets_around(numerator: int) -> set[int]:
+    """d / 2^WINDOW_BITS just at or below numerator / 3^8, and just above it."""
+    below = (numerator << WINDOW_BITS) // 3**8
+    return {d for d in (below - 1, below, below + 1, below + 2) if d >= 0}
+
+
+def test_every_window_entry_is_eight_steps_of_the_fold():
+    # each entry's D part against eight stepwise steps of D, and its E part
+    # against eight of E, from 0 and from offsets on both sides of its S:
+    # exactly the offsets the entry takes to C, 3^8 d <= S * 2^kd, end the
+    # eight steps at C without emptying the intersection. The other offset
+    # starts at 0, from which no window empties
+    for key, entry in enumerate(_window_table()):
+        ts = _window_ts(key)
+        for part in (0, 1):
+            s, c = entry[2 * part:2 * part + 2]
+            for d in {0, *_offsets_around(s)}:
+                state = [1, 0, 0, 0, 0]
+                state[1 + 2 * part:3 + 2 * part] = d, WINDOW_BITS
+                try:
+                    got = _fold_growth_constraints(ts, *state)
+                except EmptyIntersection:
+                    at_c = False
+                else:
+                    at_c = Fraction(got[1 + 2 * part], 2 ** got[2 + 2 * part]) == Fraction(c, 2**8)
+                assert at_c == (3**8 * d <= s << WINDOW_BITS), (key, part, d)
+
+
+def test_the_walk_folds_every_window_after_the_first_by_lookup(monkeypatch):
+    # the first window ends at D = 0 and E = 1/2, and each C, over 2^8, is
+    # at most the S, over 3^8, of every entry that can follow it, so on
+    # the walk only the first window and the last terms run stepwise
+    n, d, kd, e, ke = _fold_growth_constraints(_window_steps(-1, 2, 8))
+    assert (n, Fraction(d, 2**kd), Fraction(e, 2**ke)) == (9, 0, Fraction(1, 2))
+    table = _window_table()
+    for entry in table:
+        following = table[entry[4]:entry[4] + 256]
+        for part in (0, 2):
+            assert entry[part + 1] * 3**8 <= min(f[part] for f in following) * 2**8
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _fold_growth_constraints(*args)
+
+    monkeypatch.setattr(divgap.constants, "_fold_growth_constraints", counted)
+    for terms, stepwise in ((10**4 + 1, 1), (10**4 + 4, 2)):
+        calls.clear()
+        assert c_enclosure(terms) == _offset_fold_reference(b_terms(terms))
+        assert len(calls) == stepwise, terms
+
+
+def _parity_fed_fold(lows: bytes, count: int):
+    """Reference: the stepwise fold fed each term's t from the low bytes, as
+    c_enclosure fed it before the fold read windows. Returns n and the two
+    offsets in units of 2^(n-1), or the EmptyIntersection it raised."""
+    parities = [p for low in lows for p in _g_parities(low)][:count]
+    try:
+        n, d, kd, e, ke = _fold_growth_constraints(
+            y - x for x, y in zip([-1, *parities], parities))
+    except EmptyIntersection as exc:
+        return exc
+    return n, d << (n - 1 - kd), e << (n - 1 - ke)
+
+
+def _same_windowed_fold(lows: bytes, count: int) -> None:
+    want = _parity_fed_fold(lows, count)
+    if isinstance(want, EmptyIntersection):
+        with pytest.raises(EmptyIntersection) as got:
+            _fold_windows(lows, count)
+        assert got.value.index == want.index
+        assert str(got.value) == str(want)
+    else:
+        n, d, kd, e, ke = _fold_windows(lows, count)
+        assert (n, d << (n - 1 - kd), e << (n - 1 - ke)) == want
+
+
+def _walk_lows(count: int) -> bytearray:
+    lows = bytearray()
+    _advance(0, 2, count, lows)
+    return lows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_windowed_fold_matches_the_stepwise_fold_on_any_low_bytes(data):
+    # random bytes, which mostly empty the intersection within a few
+    # windows, or the walk's own bytes with a few replaced, which empty it
+    # later or not at all; either way the same offsets or the same index
+    count = data.draw(st.integers(min_value=0, max_value=400))
+    size = -(-count // 8)
+    if data.draw(st.booleans()):
+        lows = bytearray(data.draw(st.binary(min_size=size, max_size=size)))
+    else:
+        lows = _walk_lows(count)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            if size:
+                lows[data.draw(st.integers(0, size - 1))] = data.draw(st.integers(0, 255))
+    _same_windowed_fold(lows, count)
+
+
+def test_windowed_fold_matches_the_stepwise_fold_on_seeded_streams():
+    # 1,000 seeded streams of each kind, including every count mod 8
+    rng = random.Random(33)
+    emptied = 0
+    for i in range(2000):
+        count = rng.randint(0, 300)
+        size = -(-count // 8)
+        lows = _walk_lows(count)
+        if i % 2:
+            lows = bytearray(rng.randbytes(size))
+        elif size:
+            lows[rng.randrange(size)] = rng.randrange(256)
+        emptied += isinstance(_parity_fed_fold(lows, count), EmptyIntersection)
+        _same_windowed_fold(lows, count)
+    assert 500 < emptied < 1900
+
+
 def _f(x: int) -> int:
     return (3 * x + 1) // 2
 
@@ -423,10 +615,7 @@ MAPS = [(_f, 1), (_g, 0)]
 
 @pytest.mark.parametrize("step, c", MAPS, ids=["f", "g"])
 def test_jump_table_is_the_stepwise_map(step, c):
-    for low, (value, parities) in enumerate(_jump_table(c)):
-        orbit = _orbit(step, low, 8)
-        assert value == orbit[8]
-        assert parities == bytes(x % 2 for x in orbit[:8])
+    assert [_orbit(step, low, 8)[8] for low in range(256)] == list(_jump_table(c))
 
 
 def test_the_kernels_tables_are_the_stepwise_maps():
@@ -434,8 +623,7 @@ def test_the_kernels_tables_are_the_stepwise_maps():
     for step, c in MAPS:
         assert len(_JUMPS[c]) == 256
         for low in range(256):
-            orbit = _orbit(step, low, 8)
-            assert _JUMPS[c][low] == (orbit[8], bytes(x % 2 for x in orbit[:8]))
+            assert _JUMPS[c][low] == _orbit(step, low, 8)[8]
 
 
 _TABLES = {step: _jump_table(c) for step, c in MAPS}
@@ -448,13 +636,17 @@ _TABLES = {step: _jump_table(c) for step, c in MAPS}
 @example(256)
 @example(2**300)
 def test_one_jump_is_eight_steps_of_either_map(x):
-    # on a full-size integer: the jump's value, and the parities of the
-    # eight iterates it skips, read from the low byte alone
+    # on a full-size integer: the jump's value from the low byte's table
+    # entry, and the parities of the eight iterates it skips, which are the
+    # low byte's own, as the windowed fold reads them
     for step, table in _TABLES.items():
         orbit = _orbit(step, x, 8)
-        value, parities = table[x & 255]
-        assert 3**8 * (x >> 8) + value == orbit[8]
-        assert parities == bytes(y % 2 for y in orbit[:8])
+        assert 3**8 * (x >> 8) + table[x & 255] == orbit[8]
+        assert [y % 2 for y in orbit[:8]] == [y % 2 for y in _orbit(step, x & 255, 7)]
+    parities = [y % 2 for y in _orbit(_g, x, 7)]
+    for prev in (0, 1):
+        assert list(_window_steps(prev, x & 255)) == [
+            p - q for q, p in zip([prev, *parities], parities)]
 
 
 def _fraction_intersection(terms: list[int]) -> RationalInterval:
@@ -637,34 +829,61 @@ def test_jumped_iterate_matches_ow_sequence(seed, count):
     assert _advance(1, seed, count - 1) == ow_sequence(3, seed, count)[-1]
 
 
-def _complement(parities: bytearray) -> bytes:
-    return bytes(1 - p for p in parities)
-
-
 def test_the_two_orbits_are_one_orbit_shifted_by_one():
-    # f(x) = g(x + 1) - 1, so f^k(2) + 1 = g^(k+1)(2) = g^k(3), and the
-    # parities of the two orbits are complements. Chunks of 1..40 steps
-    # run both the jumps and the single-step tails of either map
+    # f(x) = g(x + 1) - 1, so f^k(2) + 1 = g^(k+1)(2) = g^k(3), and each low
+    # byte the g-walk records is one more, mod 256, than the f-walk's.
+    # Chunks of 1..40 steps run both the jumps and the single-step tails of
+    # either map
     rng = random.Random(31)
     x, u, k = 2, 3, 0
-    f_parities, g_parities = bytearray(), bytearray()
+    f_lows, g_lows = bytearray(), bytearray()
     while k < 10**4:
         s = rng.randint(1, 40)
-        x = _advance(1, x, s, f_parities)
-        u = _advance(0, u, s, g_parities)
+        x = _advance(1, x, s, f_lows)
+        u = _advance(0, u, s, g_lows)
         k += s
         assert x + 1 == u, k
-    assert g_parities == _complement(f_parities)
-    # at 10^5 once, with g's walk held to b(n): g^(n-1)(2) is u_n, the
+    assert g_lows == bytes((low + 1) & 255 for low in f_lows)
+    # at 10^5 once, with g's walk held to b(n): g^(n-2)(3) is u_n, the
     # running sum plus one, which is 3b(n) or 3b(n) + 1
     n = 10**5
-    f_parities, g_parities = bytearray(), bytearray()
-    x = _advance(1, 2, n - 2, f_parities)
-    u = _advance(0, 2, n - 1, g_parities)
+    f_lows, g_lows = bytearray(), bytearray()
+    x = _advance(1, 2, n - 2, f_lows)
+    u = _advance(0, 3, n - 2, g_lows)
     assert x + 1 == u
-    assert g_parities[1:] == _complement(f_parities)
+    assert g_lows == bytes((low + 1) & 255 for low in f_lows)
     b = deque(b_terms(n), maxlen=1)[0]
     assert u - 3 * b in (0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 16, 17, 1000, 10**4])
+def test_orbit_identity_holds(n):
+    assert orbit_identity(n) == CheckRecord(n, True)
+
+
+def test_orbit_identity_validates():
+    with pytest.raises(ValueError):
+        orbit_identity(0)
+
+
+@pytest.mark.parametrize("c", [0, 1], ids=["g", "f"])
+def test_orbit_identity_fails_at_the_first_jump_that_reads_a_wrong_entry(c, monkeypatch):
+    # one entry of either table one off: the first jump from an iterate with
+    # that low byte breaks the identity at the boundary after it
+    low = 123
+    table = list(divgap.constants._JUMPS[c])
+    table[low] += 1
+    jumps = list(divgap.constants._JUMPS)
+    jumps[c] = tuple(table)
+    monkeypatch.setattr(divgap.constants, "_JUMPS", tuple(jumps))
+    x, k = 2 - c, 0
+    while x & 255 != low:
+        x = _advance(c, x, 8)
+        k += 8
+    got = orbit_identity(k + 20)
+    assert (got.index, got.passed) == (k + 9, False)
+    f_found, g_found = got.actual
+    assert (f_found == got.expected, g_found == got.expected) == (c == 0, c == 1)
 
 
 def test_k3_enclosure_is_the_stepwise_enclosure():

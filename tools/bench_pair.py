@@ -15,6 +15,8 @@ Usage, from the repository root:
     python3 tools/bench_pair.py setup --parent DIR --change DIR --out BENCH_20.json
     python3 tools/bench_pair.py cli --parent DIR --change DIR \\
         --argv "theorem --max 50" --argv "theorem --max 50 --json" --out BENCH_26.json
+    python3 tools/bench_pair.py process --parent DIR --change DIR \\
+        --argv "constants c --terms 1000" --out BENCH_33.json
 
 DIR is a checkout of the tree to measure (for example a `git archive` of
 one commit). `pairs` runs `divbench/run.py --trace 0` once per seed on each
@@ -37,7 +39,14 @@ is that sweep of `divgap.cli.run(argv)`, one point per `--argv` command line
 (split as a shell would), with calls counted by the same rule, kept in
 the file's `cli` section. Every sweep call writes to its own StringIO
 for stdout and stderr, as divbench's `run_job` does, and is timed with the
-redirection. `setup`
+redirection. `process` runs `python -m divgap ARGV` as a fresh process in
+each tree, one `--argv` command line at a time: one untimed run per tree,
+whose outputs it compares, then PROCESS_RUNS timed runs per tree,
+alternating trees run by run, each timed from spawn to exit. Each child
+gets the caller's environment with PYTHONPATH set to its tree's src/, and
+the section records the PYTHONDONTWRITEBYTECODE value those children were
+given, so a run with bytecode caches and one without are told apart.
+`setup`
 spawns each tree's `divbench/child.py --setup-only` SETUP_SPAWNS times,
 alternating trees spawn by spawn, and times each from spawn to the "ready"
 moment the child prints, as divbench's `measure_setup` does but unscaled and
@@ -71,6 +80,7 @@ SWEEP_ROUNDS = 5  # fresh interpreters per grid point, alternating which tree go
 SWEEP_SPAN_S = 0.05
 SWEEP_MIN_CALLS = 5  # timed calls per tree per round, however slow a call
 SETUP_SPAWNS = 60  # set-up children per tree, alternating which goes first
+PROCESS_RUNS = 31  # timed processes per tree and command line, alternating trees
 
 # Runs in a fresh interpreter with neither tree on sys.path; argv is the
 # JSON map of side to src/ directory, in the order the sides take turns, the
@@ -203,6 +213,39 @@ def cmd_setup(args, trees: dict[str, Path]) -> dict:
             "setup_s": summarize(samples, "lower"), "samples": samples}
 
 
+def _process_run(tree: Path, argv: list[str], env: dict[str, str]):
+    """Seconds from spawning `python -m divgap argv` in tree to its exit, and the process."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "divgap", *argv], cwd=tree, env=env,
+                          capture_output=True, timeout=RUN_GRACE_S)
+    return time.perf_counter() - t0, proc
+
+
+def cmd_process(args, trees: dict[str, Path]) -> dict:
+    return _processes(trees, [shlex.split(a) for a in args.argv])
+
+
+def _processes(trees: dict[str, Path], argvs: list[list[str]]) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    envs = {side: {**env, "PYTHONPATH": str(trees[side] / "src")} for side in SIDES}
+    points = []
+    for argv in argvs:
+        # the untimed first runs write any bytecode the timed ones then read
+        first = {side: _process_run(trees[side], argv, envs[side])[1] for side in SIDES}
+        samples = {side: [] for side in SIDES}
+        for i in range(PROCESS_RUNS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                samples[side].append(_process_run(trees[side], argv, envs[side])[0])
+        points.append({
+            "argv": argv,
+            "exit_codes": {side: first[side].returncode for side in SIDES},
+            "same_output": len({(p.returncode, p.stdout, p.stderr) for p in first.values()}) == 1,
+            "seconds": summarize(samples, "lower"), "samples": samples})
+    return {"runs": PROCESS_RUNS,
+            "pythondontwritebytecode": envs["change"].get("PYTHONDONTWRITEBYTECODE"),
+            "points": points}
+
+
 def _grid(specs: list[str]) -> list[dict]:
     axes = []
     for spec in specs:
@@ -261,7 +304,7 @@ def _sweep(trees: dict[str, Path], function: str, points: list[dict],
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("pairs", "sweep", "setup", "cli"):
+    for name in ("pairs", "sweep", "setup", "cli", "process"):
         p = sub.add_parser(name)
         p.add_argument("--parent", type=Path, required=True)
         p.add_argument("--change", type=Path, required=True)
@@ -277,6 +320,9 @@ def main(argv=None) -> int:
     p = sub.choices["cli"]
     p.add_argument("--argv", action="append", required=True,
                    help="one command line for divgap.cli.run, e.g. \"theorem --max 50\"")
+    sub.choices["process"].add_argument(
+        "--argv", action="append", required=True,
+        help="one command line for python -m divgap, e.g. \"constants c --terms 1000\"")
     args = ap.parse_args(argv)
 
     if args.command == "pairs" and len(args.seeds) < 2:
@@ -293,12 +339,13 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "divbench" / "run.py").is_file():
             ap.error(f"--{side} {tree} has no divbench/run.py")
-    commands = {"pairs": cmd_pairs, "sweep": cmd_sweep, "setup": cmd_setup, "cli": cmd_cli}
+    commands = {"pairs": cmd_pairs, "sweep": cmd_sweep, "setup": cmd_setup, "cli": cmd_cli,
+                "process": cmd_process}
     section = commands[args.command](args, trees)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = json.loads((trees["change"] / "divbench" / "machine.json").read_text())
-    if args.command in ("setup", "cli"):
+    if args.command in ("setup", "cli", "process"):
         doc[args.command] = section
     else:
         key = args.workload if args.command == "pairs" else " ".join([args.function, *args.build])
