@@ -7,11 +7,12 @@ and needs only the parities of the recurrence's running sums, not its
 terms. The circle-game constant K3 is the limit of e(n) * (2/3)**n for the
 q = 3 ceiling iteration x -> floor((3x + 1)/2) seeded at 2, which nests by
 construction. Both 3/2 maps advance through one routine, _advance, eight
-steps a jump, each from its own table of 256 jumps; c's fold reads the low
-byte of each jump, which fixes the parities of the eight terms it skips,
-and folds those eight constraints in one step. relation_check compares c
-against (2/9) * K3 with no rounding anywhere, and orbit_identity holds the
-two maps' orbits to each other and to the recurrence.
+steps a jump, each from its own table of 256 jumps. c's fold binds only in
+its last full window of eight terms and the terms after it, so it folds
+those alone, from parities that the low bits of one iterate of the walk
+fix. relation_check compares c against (2/9) * K3 with no rounding
+anywhere, and orbit_identity holds the two maps' orbits to each other and
+to the recurrence.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import cache
 from itertools import islice
 
 # DEFAULT_TERMS is public here
@@ -35,10 +35,10 @@ def _jump_table(c: int) -> tuple[int, ...]:
 
     Both 3/2 maps here, f (c = 1) and g(u) = floor(3u/2) (c = 0), satisfy
     step(2^j*G + M) = 3*2^(j-1)*G + step(M) for every j >= 1 and integer M,
-    so by induction step^i(2^8*H + L) = 3^i*2^(8-i)*H + step^i(L) for
-    i <= 8: eight steps of a full-size integer are one shift, mask, multiply
-    and add, and the parities of its first eight iterates are its low
-    byte's.
+    so by induction step^i(2^j*G + M) = 3^i*2^(j-i)*G + step^i(M) for
+    i <= j: the parities of the first j iterates of x are those of
+    x mod 2^j, and at j = 8 eight steps of a full-size integer are one
+    shift, mask, multiply and add.
     """
     table = []
     for x in range(256):
@@ -52,34 +52,23 @@ def _jump_table(c: int) -> tuple[int, ...]:
 _JUMPS = (_jump_table(0), _jump_table(1))
 
 
-def _advance(c: int, x: int, k: int, lows: bytearray | None = None) -> int:
+def _advance(c: int, x: int, k: int) -> int:
     """step^k(x) for step(x) = floor((3x + c)/2), eight steps a jump.
 
     step^8(2^8*H + L) = 3^8*H + step^8(L) (see _jump_table): one shift,
     mask, multiply and add replace eight steps on the full-size integer.
-    The last k mod 8 steps run singly. Given a bytearray, appends the low
-    byte L of each jump's start, and of the single steps' start when there
-    are any: L fixes the parities of the eight (or fewer) iterates from
-    there.
+    The last k mod 8 steps run singly.
     """
     table = _JUMPS[c]
-    if lows is None:
-        for _ in range(k >> 3):
-            x = 3**8 * (x >> 8) + table[x & 255]
-    else:
-        for _ in range(k >> 3):
-            low = x & 255
-            lows.append(low)
-            x = 3**8 * (x >> 8) + table[low]
-        if k & 7:
-            lows.append(x & 255)
+    for _ in range(k >> 3):
+        x = 3**8 * (x >> 8) + table[x & 255]
     for _ in range(k & 7):
         x = (3 * x + c) >> 1
     return x
 
 
-def _fold_growth_constraints(steps: Iterable[int], n: int = 1, d: int = 0, kd: int = 0,
-                             e: int = 0, ke: int = 0) -> tuple[int, int, int, int, int]:
+def _fold_growth_constraints(steps: Iterable[int],
+                             n: int = 1) -> tuple[int, int, int, int, int]:
     """Fold the per-index constraints ((b - 1/2), (b + 1/2)] * (2/3)^n, one a step.
 
     Over the denominator 3^n, constraint n is [L_n, H_n] with
@@ -102,13 +91,14 @@ def _fold_growth_constraints(steps: Iterable[int], n: int = 1, d: int = 0, kd: i
     bits wide. Correctness rests on the identities above, not on how wide
     the offsets get.
 
-    steps is t_(n+1), t_(n+2), ..., read once, in order, from the state
-    (n, d, kd, e, ke) folded to index n, D = d/2^kd and E = e/2^ke; the
-    default is the state before t_2. Returns the state after the last step:
-    with b_n, it gives the endpoints (see _growth_interval). An empty
-    running intersection would falsify the ceiling closed form, so it aborts
-    with the first violating index instead of clamping.
+    steps is t_(n+1), t_(n+2), ..., read once, in order, from D = E = 0 at
+    index n; the default n = 1 is the state after constraint 1 alone.
+    Returns (n, d, kd, e, ke) after the last step, D = d/2^kd and
+    E = e/2^ke: with b_n, it gives the endpoints (see _growth_interval). An
+    empty running intersection would falsify the ceiling closed form, so it
+    aborts with the first violating index instead of clamping.
     """
+    d = kd = e = ke = 0
     for n, t in enumerate(steps, start=n + 1):
         # the offsets before the max, each a numerator over one more power of 2
         d = 3 * d + ((2 * t - 1) << kd)
@@ -126,99 +116,18 @@ def _fold_growth_constraints(steps: Iterable[int], n: int = 1, d: int = 0, kd: i
     return n, d, kd, e, ke
 
 
-def _window_steps(prev: int, low: int, count: int = 8) -> Iterator[int]:
-    """t for the count terms whose parities a jump's low byte fixes.
+def _window_steps(prev: int, low: int, count: int) -> Iterator[int]:
+    """t for the count terms from u, read from low = u mod 2^k for count <= k.
 
-    The parities of u, g(u), ..., g^7(u) are those of low, g(low), ...,
-    g^7(low) (see _jump_table); each t is a parity minus the one before it,
-    prev before the first.
+    The parities of u, g(u), ..., g^(k-1)(u) are those of the same iterates
+    of u mod 2^k (see _jump_table), so they are stepped on a small integer;
+    each t is a parity minus the one before it, prev before the first.
     """
     for _ in range(count):
         p = low & 1
         yield p - prev
         prev = p
         low = 3 * low >> 1
-
-
-@cache
-def _window_table() -> list[tuple[int, ...]]:
-    """Eight steps of the fold composed into one, for each window of terms.
-
-    A window is the eight terms one jump of the growth walk skips; its t
-    are fixed by the parity p before it and the jump's low byte L (see
-    _window_steps), and the table holds one entry per key p * 256 + L. One
-    step of D is x -> max(3x/2 + a/2, 0) with a = 2t - 1. Composed, eight
-    steps are x -> max(3^8 x / 2^8 + B, C), where B composes the affine
-    parts and C >= B is the steps' value from x = 0. So every
-    x <= S = (C - B) * 2^8 / 3^8 ends the window at C, and from such an x no
-    step's value passes 2 (an offset past 2 stays above 1 in a window, where
-    C <= 1/2), so the window cannot empty the intersection. C is a
-    numerator over 2^8 and S over 3^8: with D = d/2^kd the test is
-    3^8 d <= S * 2^kd.
-
-    Each entry is (S, C) for D, then for E, whose step is D's with t
-    negated: the entry of the complementary parities. Last comes the parity
-    of the window's last term times 256, the next key's p part. Built on
-    first use, without Fraction: the parity vector of each L, then every
-    window's B and C level by level over the 2 * 2^i parity strings of
-    length i, so that each level's quarters share one a.
-    """
-    # the parities of g^i(L), i < 8, as the bits of vectors[L]: bit i of
-    # L's vector is that of g^i(l + 2^i h) = 3^i h + g^i(l), l = L mod 2^i
-    ys, vectors = [0], [0]
-    for i in range(8):
-        vectors = ([v | (y & 1) << i for v, y in zip(vectors, ys)]
-                   + [v | (~y & 1) << i for v, y in zip(vectors, ys)])
-        ys = [3 * y >> 1 for y in ys] + [3 * (3**i + y) >> 1 for y in ys]
-    # level i: strings of p and the window's first i parities, p in bit 0,
-    # each with b = B_i * 2^i and c = C_i * 2^i
-    b = c = [0, 0]
-    for i in range(8):
-        half = 1 << i
-        b0, b1, c0, c1 = b[:half], b[half:], c[:half], c[half:]
-        # the next parity h after the last parity p, string index + h << (i + 1)
-        quarters = [((2 * (h - p) - 1) << i, (b0, b1)[p], (c0, c1)[p])
-                    for h in (0, 1) for p in (0, 1)]
-        b = [3 * x + k for k, bs, _ in quarters for x in bs]
-        c = [y if (y := 3 * x + k) > 0 else 0 for k, _, cs in quarters for x in cs]
-    s = [x - z for x, z in zip(c, b)]
-    # string j's complement is 511 - j, the reversed lists' j-th entry
-    entries = list(zip(s, c, s[::-1], c[::-1], [0] * 256 + [256] * 256))
-    return [entries[p | v << 1] for p in (0, 1) for v in vectors]
-
-
-def _fold_windows(lows: bytes, count: int) -> tuple[int, int, int, int, int]:
-    """The fold of t_2, ..., t_(count+1) from the growth walk's low bytes.
-
-    lows holds the low byte of u_1, u_9, u_17, ... as _advance records
-    them. Each window of eight terms after the first whose D and E are at
-    most their S (see _window_table) ends at their C, by one lookup. The
-    first window, which follows the parity -1 that stands before u_1, the
-    last count mod 8 terms, and any window entered above an S run through
-    _fold_growth_constraints, so an empty intersection is raised at its own
-    index. On the walk only the first and the last do: its first window
-    ends at D = 0 and E = 1/2, no C passes 1/2, and no S that can follow a
-    C is below it. The state is the stepwise fold's in value, though not
-    always in its numerator and power of 2.
-    """
-    if not count:
-        return 1, 0, 0, 0, 0
-    table = _window_table()
-    full = count >> 3
-    _, d, kd, e, ke = _fold_growth_constraints(_window_steps(-1, lows[0], min(count, 8)))
-    key = table[lows[0]][4]  # the next key's p depends on L alone
-    for j, low in enumerate(islice(lows, 1, full), 1):
-        sd, cd, se, ce, after = table[key | low]
-        if 3**8 * d <= sd << kd and 3**8 * e <= se << ke:
-            d, kd, e, ke = cd, 8, ce, 8
-        else:
-            _, d, kd, e, ke = _fold_growth_constraints(
-                _window_steps(key >> 8, low), 8 * j + 1, d, kd, e, ke)
-        key = after
-    if count > 8 and count & 7:
-        return _fold_growth_constraints(
-            _window_steps(key >> 8, lows[full], count & 7), 8 * full + 1, d, kd, e, ke)
-    return count + 1, d, kd, e, ke
 
 
 def _growth_interval(b: int, n: int, d: int, kd: int, e: int, ke: int) -> RationalInterval:
@@ -239,16 +148,34 @@ def c_enclosure(n_terms: int) -> RationalInterval:
     so 2b_n = u_(n-1) - (u_(n-1) mod 2) for n >= 2 and the fold's input is
     t_n = (u_(n-1) mod 2) - (u_(n-2) mod 2) for n >= 3, while t_2 = 1:
     that is the same difference with -1 for the parity before u_1 = 2.
-    _advance walks g from u_1 to u_n, eight terms a jump, and records the
-    low byte of u_1, u_9, ..., which fixes the parities of the eight terms
-    from there, for _fold_windows; u_n is 3b_n or 3b_n + 1 for n >= 2 and 2
-    for n = 1, so b_n = (u_n + 1) // 3.
+
+    A window is the eight fold steps whose parities one jump of the walk
+    skips, t_(8w+2) to t_(8w+9). Only the last full window and the
+    n_terms - 1 mod 8 steps after it are folded, from D = E = 0, which is
+    exact: a step x -> max((3x + 2t - 1)/2, 0) is nondecreasing in x, so a
+    window ends at its value from 0, C, from every x up to some S >= 0, and
+    every window after the first is entered at or below its S. The walk's
+    first window ends at D = 0 and E = 1/2, at most both S of its second,
+    and each window's C is at most the S of every window that can follow
+    it; the tests check both over every window. Below 17 terms, with fewer
+    than two full windows, the fold starts at t_2. _advance walks g from
+    u_1 to u_(a+1), with a the start of the window before the last full
+    one, a multiple of 8, or 0 below 17 terms. The low 24 bits of u_(a+1)
+    fix the parities of the at most 23 terms from there to u_n (see
+    _jump_table). The walk then goes on to u_n, which is 3b_n or 3b_n + 1
+    for n >= 2 and 2 for n = 1, so b_n = (u_n + 1) // 3.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {brief(n_terms)}")
-    lows = bytearray()
-    u = _advance(0, 2, n_terms - 1, lows)
-    return _growth_interval((u + 1) // 3, *_fold_windows(lows, n_terms - 1))
+    count = n_terms - 1
+    # the steps before the last full window, and the eight before those,
+    # stepped only for the parity before it unless it is the first
+    start = max(count - 8 - (count & 7), 0)
+    a = max(start - 8, 0)
+    u = _advance(0, 2, a)
+    steps = islice(_window_steps(-1, u & 0xFFFFFF, count - a), start - a, None)
+    state = _fold_growth_constraints(steps, start + 1)
+    return _growth_interval((_advance(0, u, count - a) + 1) // 3, *state)
 
 
 def k3_enclosure(n_terms: int) -> RationalInterval:

@@ -10,13 +10,13 @@ _advance's eight-step jumps over f; the integer-numerator fold below is the
 reference for the library's fold of two small offsets, which
 _intersect_growth_constraints below feeds from any term list, and the term-fed
 offset fold below, kept as it stood before the fold read parities, is the
-reference for c_enclosure, which builds no term and folds eight terms a
-step from the low bytes of _advance's walk over g. Every entry of that
-eight-term table is held to eight steps of the fold and to the same
-composition in Fraction arithmetic, and the windowed fold to the stepwise
-one on any stream of low bytes. Both maps' tables are held to the maps
-stepped one at a time, and the two walks to each other: f's orbit from 2 is
-g's from 3 less one.
+reference for c_enclosure, which builds no term and folds only the last
+full window of eight terms and the terms after it, from 0. The lemma that
+makes that exact is checked over all 512 windows with eight steps of the
+fold composed in Fraction arithmetic: each window's value from 0 is at most
+the largest start that every window which can follow it takes to its own
+value from 0. Both maps' tables are held to the maps stepped one at a time,
+and the two walks to each other: f's orbit from 2 is g's from 3 less one.
 """
 
 import random
@@ -38,11 +38,9 @@ from divgap.constants import (
     K3_SCALE,
     _advance,
     _fold_growth_constraints,
-    _fold_windows,
     _growth_interval,
     _jump_table,
     _window_steps,
-    _window_table,
     c_enclosure,
     k3_enclosure,
     orbit_identity,
@@ -348,8 +346,7 @@ def test_c_enclosure_reports_first_violation():
 
 
 def _enclosure_peak(n: int) -> int:
-    """c_enclosure(n)'s tracemalloc peak, with the window table built first."""
-    _window_table()
+    """c_enclosure(n)'s tracemalloc peak."""
     tracemalloc.start()
     try:
         c_enclosure(n)
@@ -359,10 +356,11 @@ def _enclosure_peak(n: int) -> int:
 
 
 def test_c_enclosure_streams_the_recurrence():
-    # no term is built: the fold reads one low byte per eight terms. Held as
-    # a list, 20,000 terms peak near 16 MiB. At 10^5 terms the walk's two
-    # full-width integers and the endpoints' Fractions peak near 0.34 MiB;
-    # keeping a byte of parity per term, 0.1 MB more, peaked at 0.45 MiB
+    # no term is built: the fold reads the parities of at most 23 terms from
+    # the low bits of one iterate. Held as a list, 20,000 terms peak near
+    # 16 MiB. At 10^5 terms the walk's two full-width integers and the
+    # endpoints' Fractions peak near 0.34 MiB; keeping a byte of parity per
+    # term, 0.1 MB more, peaked at 0.45 MiB
     assert _enclosure_peak(20000) < 2**20
     assert _enclosure_peak(10**5) < 0.4 * 2**20
 
@@ -417,10 +415,11 @@ def test_c_enclosure_matches_the_term_fed_fold_at_a_hundred_thousand():
     assert c_enclosure(10**5) == _offset_fold_reference(b_terms(10**5))
 
 
-@pytest.mark.parametrize("n", [*range(1, 70), 1999, 3001, 4999, 12345])
+@pytest.mark.parametrize("n", [*range(1, 201), 1999, 3001, 4999, 12345])
 def test_c_enclosure_matches_the_term_fed_fold_at_every_window_edge(n):
-    # n = 1..69 puts the last term at every place in the first windows,
-    # with 0..7 terms left over after them
+    # n = 1..200 puts the last term at every place of the first 25 windows,
+    # with 0..7 terms left over after them, and the folded suffix's start
+    # at each of the first 23 windows, past the switch at 17 terms
     assert c_enclosure(n) == _offset_fold_reference(b_terms(n))
 
 
@@ -430,7 +429,7 @@ def _g_parities(low: int) -> list[int]:
 
 
 def _window_ts(key: int) -> list[int]:
-    """t of the eight terms after table key p * 256 + L: each parity minus the one before."""
+    """t of the eight terms of window key p * 256 + L: each parity minus the one before."""
     parities = [key >> 8, *_g_parities(key & 255)]
     return [y - x for x, y in zip(parities, parities[1:])]
 
@@ -441,9 +440,9 @@ def _composed_window(ts: list[int]) -> tuple[Fraction, Fraction]:
     B composes the eight affine parts and C is the clamped steps' value from
     0, so the window is x -> max((3/2)^8 x + B, C), and S, where the affine
     part meets C, is the largest x that ends at C. Along the way it checks
-    what makes S the whole test: from 0 no step's value passes 2, C is at
-    most 1/2, and no x <= S empties the intersection, since the least x at
-    which some step's affine part passes 2, T, is at least S.
+    that from 0 no step's value passes 2, that C is at most 1/2, and that no
+    x <= S empties the intersection, since the least x at which some step's
+    affine part passes 2, T, is at least S.
     """
     half = Fraction(1, 2)
     b = c = Fraction(0)
@@ -459,138 +458,30 @@ def _composed_window(ts: list[int]) -> tuple[Fraction, Fraction]:
     return s, c
 
 
-def test_window_table_is_the_composition_of_eight_steps():
-    # every field of every entry, E's as D's with t negated
-    table = _window_table()
-    assert len(table) == 512
-    for key, entry in enumerate(table):
-        ts = _window_ts(key)
-        got = [Fraction(x, w) for x, w in zip(entry[:4], (3**8, 2**8) * 2)]
-        assert got == [*_composed_window(ts), *_composed_window([-t for t in ts])], key
-        assert entry[4] == _g_parities(key & 255)[7] << 8
+def _window_entry(key: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(S, C) of D and of E for window key p * 256 + L: E's are D's with t negated."""
+    ts = _window_ts(key)
+    return (*_composed_window(ts), *_composed_window([-t for t in ts]))
 
 
-# offsets as d / 2^WINDOW_BITS: 2^14 > 2 * 3^8, so a numerator over 3^8
-# has such an offset within 1/3^8 on either side of it
-WINDOW_BITS = 14
-
-
-def _offsets_around(numerator: int) -> set[int]:
-    """d / 2^WINDOW_BITS just at or below numerator / 3^8, and just above it."""
-    below = (numerator << WINDOW_BITS) // 3**8
-    return {d for d in (below - 1, below, below + 1, below + 2) if d >= 0}
-
-
-def test_every_window_entry_is_eight_steps_of_the_fold():
-    # each entry's D part against eight stepwise steps of D, and its E part
-    # against eight of E, from 0 and from offsets on both sides of its S:
-    # exactly the offsets the entry takes to C, 3^8 d <= S * 2^kd, end the
-    # eight steps at C without emptying the intersection. The other offset
-    # starts at 0, from which no window empties
-    for key, entry in enumerate(_window_table()):
-        ts = _window_ts(key)
-        for part in (0, 1):
-            s, c = entry[2 * part:2 * part + 2]
-            for d in {0, *_offsets_around(s)}:
-                state = [1, 0, 0, 0, 0]
-                state[1 + 2 * part:3 + 2 * part] = d, WINDOW_BITS
-                try:
-                    got = _fold_growth_constraints(ts, *state)
-                except EmptyIntersection:
-                    at_c = False
-                else:
-                    at_c = Fraction(got[1 + 2 * part], 2 ** got[2 + 2 * part]) == Fraction(c, 2**8)
-                assert at_c == (3**8 * d <= s << WINDOW_BITS), (key, part, d)
-
-
-def test_the_walk_folds_every_window_after_the_first_by_lookup(monkeypatch):
-    # the first window ends at D = 0 and E = 1/2, and each C, over 2^8, is
-    # at most the S, over 3^8, of every entry that can follow it, so on
-    # the walk only the first window and the last terms run stepwise
+def test_the_walk_folds_every_window_after_the_first_by_lookup():
+    # why c_enclosure may fold the last full window from 0: every window
+    # after the first is entered at or below its S, so it ends at its C as
+    # if by lookup, whatever came before. Over all 512 keys p * 256 + L,
+    # each C is at most the S of every key that can follow it, whose p is
+    # the parity of the window's last term; the walk's first window ends at
+    # D = 0 and E = 1/2, and that is at most both S of its second
+    entries = [_window_entry(key) for key in range(512)]
+    for key, (_, cd, _, ce) in enumerate(entries):
+        p = _g_parities(key & 255)[7]
+        following = entries[p << 8:(p + 1) << 8]
+        assert cd <= min(f[0] for f in following), key
+        assert ce <= min(f[2] for f in following), key
     n, d, kd, e, ke = _fold_growth_constraints(_window_steps(-1, 2, 8))
     assert (n, Fraction(d, 2**kd), Fraction(e, 2**ke)) == (9, 0, Fraction(1, 2))
-    table = _window_table()
-    for entry in table:
-        following = table[entry[4]:entry[4] + 256]
-        for part in (0, 2):
-            assert entry[part + 1] * 3**8 <= min(f[part] for f in following) * 2**8
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _fold_growth_constraints(*args)
-
-    monkeypatch.setattr(divgap.constants, "_fold_growth_constraints", counted)
-    for terms, stepwise in ((10**4 + 1, 1), (10**4 + 4, 2)):
-        calls.clear()
-        assert c_enclosure(terms) == _offset_fold_reference(b_terms(terms))
-        assert len(calls) == stepwise, terms
-
-
-def _parity_fed_fold(lows: bytes, count: int):
-    """Reference: the stepwise fold fed each term's t from the low bytes, as
-    c_enclosure fed it before the fold read windows. Returns n and the two
-    offsets in units of 2^(n-1), or the EmptyIntersection it raised."""
-    parities = [p for low in lows for p in _g_parities(low)][:count]
-    try:
-        n, d, kd, e, ke = _fold_growth_constraints(
-            y - x for x, y in zip([-1, *parities], parities))
-    except EmptyIntersection as exc:
-        return exc
-    return n, d << (n - 1 - kd), e << (n - 1 - ke)
-
-
-def _same_windowed_fold(lows: bytes, count: int) -> None:
-    want = _parity_fed_fold(lows, count)
-    if isinstance(want, EmptyIntersection):
-        with pytest.raises(EmptyIntersection) as got:
-            _fold_windows(lows, count)
-        assert got.value.index == want.index
-        assert str(got.value) == str(want)
-    else:
-        n, d, kd, e, ke = _fold_windows(lows, count)
-        assert (n, d << (n - 1 - kd), e << (n - 1 - ke)) == want
-
-
-def _walk_lows(count: int) -> bytearray:
-    lows = bytearray()
-    _advance(0, 2, count, lows)
-    return lows
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_windowed_fold_matches_the_stepwise_fold_on_any_low_bytes(data):
-    # random bytes, which mostly empty the intersection within a few
-    # windows, or the walk's own bytes with a few replaced, which empty it
-    # later or not at all; either way the same offsets or the same index
-    count = data.draw(st.integers(min_value=0, max_value=400))
-    size = -(-count // 8)
-    if data.draw(st.booleans()):
-        lows = bytearray(data.draw(st.binary(min_size=size, max_size=size)))
-    else:
-        lows = _walk_lows(count)
-        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
-            if size:
-                lows[data.draw(st.integers(0, size - 1))] = data.draw(st.integers(0, 255))
-    _same_windowed_fold(lows, count)
-
-
-def test_windowed_fold_matches_the_stepwise_fold_on_seeded_streams():
-    # 1,000 seeded streams of each kind, including every count mod 8
-    rng = random.Random(33)
-    emptied = 0
-    for i in range(2000):
-        count = rng.randint(0, 300)
-        size = -(-count // 8)
-        lows = _walk_lows(count)
-        if i % 2:
-            lows = bytearray(rng.randbytes(size))
-        elif size:
-            lows[rng.randrange(size)] = rng.randrange(256)
-        emptied += isinstance(_parity_fed_fold(lows, count), EmptyIntersection)
-        _same_windowed_fold(lows, count)
-    assert 500 < emptied < 1900
+    u = _orbit(_g, 2, 8)  # u_1, ..., u_9
+    sd, _, se, _ = entries[(u[7] & 1) << 8 | u[8] & 255]
+    assert 0 <= sd and Fraction(1, 2) <= se
 
 
 def _f(x: int) -> int:
@@ -634,18 +525,22 @@ _TABLES = {step: _jump_table(c) for step, c in MAPS}
 @example(0)
 @example(255)
 @example(256)
+@example(2**24 - 1)
+@example(2**24)
 @example(2**300)
 def test_one_jump_is_eight_steps_of_either_map(x):
     # on a full-size integer: the jump's value from the low byte's table
-    # entry, and the parities of the eight iterates it skips, which are the
-    # low byte's own, as the windowed fold reads them
+    # entry, and the parities of its first j iterates, which are those of
+    # x mod 2^j: at j = 8 a jump's, at j = 24 those c_enclosure reads
     for step, table in _TABLES.items():
-        orbit = _orbit(step, x, 8)
+        orbit = _orbit(step, x, 23)
         assert 3**8 * (x >> 8) + table[x & 255] == orbit[8]
-        assert [y % 2 for y in orbit[:8]] == [y % 2 for y in _orbit(step, x & 255, 7)]
-    parities = [y % 2 for y in _orbit(_g, x, 7)]
+        for j in (8, 24):
+            low = x & (1 << j) - 1
+            assert [y % 2 for y in orbit[:j]] == [y % 2 for y in _orbit(step, low, j - 1)]
+    parities = [y % 2 for y in _orbit(_g, x, 23)]
     for prev in (0, 1):
-        assert list(_window_steps(prev, x & 255)) == [
+        assert list(_window_steps(prev, x & 0xFFFFFF, 24)) == [
             p - q for q, p in zip([prev, *parities], parities)]
 
 
@@ -830,28 +725,23 @@ def test_jumped_iterate_matches_ow_sequence(seed, count):
 
 
 def test_the_two_orbits_are_one_orbit_shifted_by_one():
-    # f(x) = g(x + 1) - 1, so f^k(2) + 1 = g^(k+1)(2) = g^k(3), and each low
-    # byte the g-walk records is one more, mod 256, than the f-walk's.
-    # Chunks of 1..40 steps run both the jumps and the single-step tails of
-    # either map
+    # f(x) = g(x + 1) - 1, so f^k(2) + 1 = g^(k+1)(2) = g^k(3). Chunks of
+    # 1..40 steps run both the jumps and the single-step tails of either
+    # map; orbit_identity compares the two at every jump boundary
     rng = random.Random(31)
     x, u, k = 2, 3, 0
-    f_lows, g_lows = bytearray(), bytearray()
     while k < 10**4:
         s = rng.randint(1, 40)
-        x = _advance(1, x, s, f_lows)
-        u = _advance(0, u, s, g_lows)
+        x = _advance(1, x, s)
+        u = _advance(0, u, s)
         k += s
         assert x + 1 == u, k
-    assert g_lows == bytes((low + 1) & 255 for low in f_lows)
     # at 10^5 once, with g's walk held to b(n): g^(n-2)(3) is u_n, the
     # running sum plus one, which is 3b(n) or 3b(n) + 1
     n = 10**5
-    f_lows, g_lows = bytearray(), bytearray()
-    x = _advance(1, 2, n - 2, f_lows)
-    u = _advance(0, 3, n - 2, g_lows)
+    x = _advance(1, 2, n - 2)
+    u = _advance(0, 3, n - 2)
     assert x + 1 == u
-    assert g_lows == bytes((low + 1) & 255 for low in f_lows)
     b = deque(b_terms(n), maxlen=1)[0]
     assert u - 3 * b in (0, 1)
 
